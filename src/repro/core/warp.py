@@ -55,7 +55,7 @@ from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, PacketBlock
 from repro.core.ring import Ring
 from repro.core.units import wire_time_ns
 from repro.cpu.cores import Core
-from repro.nic.port import _DENOM53, _FNV_PRIME, NicPort, _name_hash
+from repro.nic.port import _FNV_PRIME, NicPort, _hiccup_limit
 from repro.switches.base import PhyAttachment, SoftwareSwitch
 from repro.traffic.generator import PacedSource
 
@@ -64,7 +64,9 @@ if TYPE_CHECKING:
 
 #: Fast-forward algorithm revision; part of the campaign cache
 #: fingerprint so cached rows from different engine modes never mix.
-WARP_VERSION = 1
+#: 2: the replay hashes hiccups with the port's trial-salted name hash
+#: (revision 1 replayed trial k > 0 with the unsalted one).
+WARP_VERSION = 2
 
 #: Smallest shadow-verification slice.  Must cover several jitter
 #: resample periods so the RNG-clone replay is actually exercised.
@@ -338,8 +340,8 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
     ctx.maxb1 = sut1.tx_slots * ctx.wire1
     ctx.prob0 = gen0.driver_drop_prob
     ctx.prob1 = sut1.driver_drop_prob
-    ctx.nh0 = _name_hash(gen0.name)
-    ctx.nh1 = _name_hash(sut1.name)
+    ctx.nh0 = gen0._name_hash
+    ctx.nh1 = sut1._name_hash
     ctx.pcie = sut0.pcie_latency_ns
     ctx.freq = core.freq_hz
     ctx.idle_loop_cycles = core.idle_loop_cycles
@@ -531,21 +533,14 @@ def _prescan(ctx: _Ctx, st: _Snap, t_end: float) -> None:
         base = (base ^ flow) * prime
         base = (base ^ np.uint64(hops & _M32)) * prime
         idx = np.arange(max_index, dtype=np.uint64)
-        # ``(v >> 11) / 2**53 < prob`` compared in integers: ``v >> 11``
-        # is < 2**53 (exact as float64), division by a power of two is
-        # exact, and ``prob * 2**53`` only shifts the exponent -- so the
-        # float comparison is equivalent to an integer one against its
-        # floor (strict when the product is itself an integer).
-        cut = prob * _DENOM53
-        floor_cut = math.floor(cut)
-        threshold = np.uint64(floor_cut if cut != floor_cut else floor_cut - 1)
+        limit = np.uint64(_hiccup_limit(prob))
         # Chunk the (timestamps x frame-index) matrix to bound memory on
         # long horizons (300 ms x 256-frame batches would be ~300 MB flat).
         step = max(1, (1 << 22) // max_index)
         for lo in range(0, len(base), step):
             chunk = base[lo:lo + step]
             values = (chunk[:, None] ^ idx[None, :]) * prime
-            hit = (values >> np.uint64(11)) <= threshold
+            hit = (values >> np.uint64(11)) < limit
             for row, col in zip(*np.nonzero(hit)):
                 flags.setdefault(int(arr[lo + int(row)]), []).append(int(col))
 

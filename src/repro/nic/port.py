@@ -11,16 +11,20 @@ The 10 Gbps wire is "the theoretical bottleneck" for every scenario that
 touches a physical NIC (Sec. 5.1) -- it is enforced here and nowhere else.
 
 Traffic arrives as a mix of exact :class:`Packet` objects (probes) and
-:class:`PacketBlock` flyweights (bulk frames).  Serialisation walks every
-*frame* either way -- the per-frame backlog check and the deterministic
-driver-hiccup hash are frame-level semantics -- but the block path hoists
-everything loop-invariant (wire time, backlog bound, the hash prefix over
-the port name and the block's uniform fields) so the inner loop is a few
-integer operations per frame instead of an object allocation.
+:class:`PacketBlock` flyweights (bulk frames).  The per-frame backlog
+check and the deterministic driver-hiccup hash are frame-level
+semantics, but a block rarely needs them frame by frame: two exact O(1)
+bounds (see :meth:`NicPort.send_batch`) prove that no frame of the block
+can hit a hiccup or the tx backlog, and the block then goes out whole.
+Blocks that fail either bound, single :class:`Packet` items and every
+item on a port with flow telemetry attached take the per-frame loop,
+which hoists everything loop-invariant (wire time, backlog bound, the
+hash prefix over the port name and the block's uniform fields).
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.packet import Packet, PacketBlock, release_block, select_flows
@@ -41,14 +45,18 @@ DEFAULT_TX_SLOTS = 512
 #: RTTs of Table 3.
 PCIE_LATENCY_NS = 2_400.0
 
-#: Probability of a sporadic driver-level drop per transmitted frame
+#: Probability that the driver-hiccup hash drops a transmitted frame
 #: (mbuf allocation hiccup, descriptor race).  Real rigs see roughly one
 #: such drop per multi-second RFC 2544 trial; our millisecond windows
 #: carry ~10^4 frames, so the per-frame probability is scaled to keep
-#: the *per-trial* drop count realistic (~O(1)).  This is the
+#: the per-trial loss small.  The hash does not drop frames
+#: independently: its final FNV multiply maps the adjacent indices of
+#: one burst to nearby values, so a hiccup usually takes most of a
+#: 32-frame burst at once -- ~20x fewer, ~30x larger drop events than
+#: independent drops (EXPERIMENTS.md, known deviation 6).  This is the
 #: "non-deterministic packet loss caused at the driver level" that makes
 #: strict NDR searches unreliable (paper footnote 3); its effect on
-#: throughput measurements is a negligible ~0.01%.
+#: throughput measurements is ~0.01%.
 DRIVER_DROP_PROB = 1e-4
 
 # FNV-1a over stable per-run quantities: the drop decision replays
@@ -57,6 +65,10 @@ _FNV_OFFSET = 1469598103934665603
 _FNV_PRIME = 1099511628211
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _DENOM53 = float(1 << 53)
+#: ``_HICCUP_TOP[k]``: the largest ``C`` for which ``C + (2**k - 1) * P``
+#: stays below 2**64 (negative once no ``C`` does) -- the no-wrap test of
+#: the block bound in :meth:`NicPort.send_batch`.
+_HICCUP_TOP = tuple(_MASK64 - ((1 << k) - 1) * _FNV_PRIME for k in range(65))
 
 _name_hashes: dict[str, int] = {}
 
@@ -80,20 +92,19 @@ def _hiccup_base(name_hash: int, t_created_int: int, size: int, flow_id: int, ho
     return ((value ^ (hops & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
 
 
-def _driver_hiccup(port_name: str, packet: Packet, index: int, prob: float) -> bool:
-    """Deterministic pseudo-random drop decision (reproducible runs).
+def _hiccup_limit(prob: float) -> int:
+    """Integer form of the per-frame hiccup test.
 
-    Hashes stable per-run quantities (port name, creation time, position
-    in the burst) rather than any global counter, so results replay
-    bit-identically regardless of what ran earlier in the process.
+    A frame whose final hash value is ``v`` drops when
+    ``(v >> 11) / 2**53 < prob``.  ``v >> 11`` is an integer below 2**53,
+    so it converts to float exactly, dividing by a power of two is exact,
+    and the test is ``v >> 11 < prob * 2**53`` -- for an integer, the same
+    as ``v >> 11 < ceil(prob * 2**53)``, which this returns (0 when no
+    frame can drop, 2**53 when every frame does).
     """
-    if prob <= 0.0:
-        return False
-    base = _hiccup_base(
-        _name_hash(port_name), int(packet.t_created), packet.size, packet.flow_id, packet.hops
-    )
-    value = ((base ^ (index & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-    return (value >> 11) / _DENOM53 < prob
+    if not prob > 0.0:
+        return 0
+    return math.ceil(min(prob, 1.0) * _DENOM53)
 
 
 class NicPort:
@@ -151,6 +162,18 @@ class NicPort:
         #: one attribute load per send_batch call.
         self.flowstats = None
 
+    @property
+    def driver_drop_prob(self) -> float:
+        """Per-frame driver-hiccup probability (:data:`DRIVER_DROP_PROB`)."""
+        return self._drop_prob
+
+    @driver_drop_prob.setter
+    def driver_drop_prob(self, prob: float) -> None:
+        self._drop_prob = prob
+        # The block bound compares full 64-bit hash values: v drops iff
+        # v < _drop_limit.  Derived once per assignment, never per frame.
+        self._drop_limit = _hiccup_limit(prob) << 11
+
     def connect(self, peer: "NicPort") -> None:
         """Cable this port to ``peer`` (full duplex, both directions)."""
         self.peer = peer
@@ -172,13 +195,33 @@ class NicPort:
         Returns the number of frames actually transmitted; frames that
         would exceed the tx descriptor backlog are dropped (no
         backpressure in a poll-mode data plane).
+
+        A :class:`PacketBlock` goes out whole, with O(1) hash work, when
+        two exact bounds hold; otherwise (and for single :class:`Packet`
+        items, and on ports with flow telemetry) every frame runs the
+        per-frame loop.
+
+        * Hiccup bound.  Frame ``i`` hashes to
+          ``((base ^ (i & M32)) * P) mod 2**64``.  With ``k`` the number of
+          low bits in which the block's indices ``index ..
+          index + count - 1`` differ, ``base ^ (i & M32)`` spans
+          ``[H, H + 2**k)`` for ``H = ((base ^ (index & M32)) >> k) << k``,
+          so the values lie in ``[C, C + (2**k - 1) * P]`` with
+          ``C = H * P mod 2**64`` -- unless that window wraps.  A window
+          that does not wrap and starts at or above the drop limit holds
+          no dropping frame.
+        * Backlog bound.  ``busy`` only grows frame by frame and float
+          addition and subtraction are monotone, so if the last frame
+          passes the backlog test every earlier one did.  The block's
+          ``count`` additions are the per-frame loop's own, in its order.
         """
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
         now = self.sim.now
         busy = max(now, self._tx_busy_until_ns)
         rate = self.rate_bps
-        prob = self.driver_drop_prob
+        prob = self._drop_prob
+        limit = self._drop_limit
         name_hash = self._name_hash
         tx_slots = self.tx_slots
         flowstats = self.flowstats
@@ -192,15 +235,35 @@ class NicPort:
             max_backlog_ns = tx_slots * wire
             if item.__class__ is PacketBlock:
                 count = item.count
+                base = (
+                    _hiccup_base(name_hash, int(item.t_created), size, item.flow_id, item.hops)
+                    if prob > 0.0
+                    else 0
+                )
+                if flowstats is None:
+                    # Block fast path (both bounds in the docstring);
+                    # count >= 1 is a PacketBlock invariant.
+                    clean = True
+                    if prob > 0.0:
+                        k = (index ^ (index + count - 1)).bit_length()
+                        low = ((base ^ (index & 0xFFFFFFFF)) >> k << k) * _FNV_PRIME & _MASK64
+                        clean = limit <= low <= _HICCUP_TOP[k]
+                    if clean:
+                        start = busy
+                        for _ in range(count - 1):
+                            busy += wire
+                        if busy - now <= max_backlog_ns:
+                            busy += wire
+                            index += count
+                            arrivals.append((item, busy))
+                            sent_frames += count
+                            sent_bytes += size * count
+                            continue
+                        busy = start
                 if item.flows is not None:
                     # Multi-flow block: same frame-level semantics, but the
                     # surviving frames' run-length summary must be
                     # re-encoded when drops puncture the block.
-                    base = (
-                        _hiccup_base(name_hash, int(item.t_created), size, item.flow_id, item.hops)
-                        if prob > 0.0
-                        else 0
-                    )
                     kept: list[int] = []
                     offset = 0
                     for i in range(index, index + count):
@@ -245,11 +308,6 @@ class NicPort:
                     else:
                         release_block(item)
                     continue
-                base = (
-                    _hiccup_base(name_hash, int(item.t_created), size, item.flow_id, item.hops)
-                    if prob > 0.0
-                    else 0
-                )
                 accepted = 0
                 for i in range(index, index + count):
                     if prob > 0.0:
@@ -283,8 +341,6 @@ class NicPort:
                 continue
             packet = item
             if prob > 0.0:
-                # Same fold as _driver_hiccup, but through the port's
-                # (possibly trial-salted) cached name hash.
                 base = _hiccup_base(
                     name_hash, int(packet.t_created), size, packet.flow_id, packet.hops
                 )

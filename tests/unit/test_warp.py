@@ -90,6 +90,21 @@ def test_warp_engages_and_is_bit_identical(switch):
     assert r_off.events == r_on.events
 
 
+@pytest.mark.parametrize("switch", ["bess", "vpp"])
+@pytest.mark.parametrize("trial", [3, 6])
+def test_replay_hashes_hiccups_with_the_trial_salt(switch, trial):
+    # Trial replicas salt each port's hiccup hash; a replay folding the
+    # unsalted port-name hash replays the base run's drops instead.
+    runs = []
+    for warp in (True, False):
+        tb = p2p.build(switch, 64, rate_pps=8e6, trial=trial, seed=1)
+        result = drive(tb, warmup_ns=WARMUP, measure_ns=6_000_000.0, warp=warp)
+        runs.append((result.warp, state_fingerprint(tb)))
+    (report, on), (_, off) = runs
+    assert report is not None and report.engaged and report.mode == "replay"
+    assert on == off
+
+
 def test_warp_engages_under_saturating_input():
     tb = p2p.build("bess", frame_size=64)
     result = _drive(tb, warp=True)
