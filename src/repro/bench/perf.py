@@ -151,6 +151,34 @@ WARP_CASES: tuple[PerfCase, ...] = (
         rate_pps=500_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
         extra=(("n_vnfs", 2),),
     ),
+    # Polls that wait on a timer (t4p4s's strict batch, FastClick's vif
+    # TX drain) and the VNF chain behind VALE's interrupt-driven core.
+    PerfCase(
+        "longh.p2v.t4p4s.nowarp", "scenario", "p2v", "t4p4s",
+        rate_pps=1_000_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
+    ),
+    PerfCase(
+        "longh.p2v.t4p4s.warp", "scenario", "p2v", "t4p4s",
+        rate_pps=1_000_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
+    ),
+    PerfCase(
+        "longh.v2v.fastclick.nowarp", "scenario", "v2v", "fastclick",
+        rate_pps=800_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
+    ),
+    PerfCase(
+        "longh.v2v.fastclick.warp", "scenario", "v2v", "fastclick",
+        rate_pps=800_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
+    ),
+    PerfCase(
+        "longh.loopback2.vale.nowarp", "scenario", "loopback", "vale",
+        rate_pps=500_000.0, measure_scale=LONG_HORIZON_SCALE, warp=False,
+        extra=(("n_vnfs", 2),),
+    ),
+    PerfCase(
+        "longh.loopback2.vale.warp", "scenario", "loopback", "vale",
+        rate_pps=500_000.0, measure_scale=LONG_HORIZON_SCALE, warp=True,
+        extra=(("n_vnfs", 2),),
+    ),
 )
 
 #: Between-fault warp acceptance: a resilience run (two NIC link flaps

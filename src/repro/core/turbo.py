@@ -12,8 +12,9 @@ breaths that move packets, vring notifies, fault flips -- so multi-hop
 runs are bit-identical *by construction*.  What it accelerates is the
 one event class that dominates long sub-capacity horizons: the idle poll.
 A poll-mode core whose every task is provably idle (all watched rings
-empty, no pending TX-drain buffers, no strict-batch timeout armed)
-executes a poll iteration whose complete effect is::
+empty, or holding only a short batch or buffered TX frames whose
+strict-batch or drain timer is not yet due) executes a poll iteration
+whose complete effect is::
 
     sim._now = t            # the event's own time
     events_executed += 1
@@ -21,12 +22,16 @@ executes a poll iteration whose complete effect is::
     re-arm at (t + idle_delay, seq++)   # exact repeated float addition
 
 Nothing else in the simulation can change until the next *non-poll* heap
-event, because every ring fill and state flip arrives via the heap.  The
-turbo therefore bulk-advances idle-poll chains -- replaying exactly those
+event, because every ring fill and state flip arrives via the heap, or
+until the first poll at or past the core's timer deadline.  The turbo
+therefore bulk-advances idle-poll chains -- replaying exactly those
 register updates, including the repeated float addition and the global
 ``(time, seq)`` ordering across several concurrent chains (loopback runs
 one chain per VNF vCPU) -- and stops strictly before the next non-poll
-event.  Fault events, timeline-sampler ticks and probe batches are plain
+event and the first due timer.  Cores it cannot profile (Snabb's
+pipeline core, VALE's interrupt-driven one) dispatch for real and bound
+every span like any other non-chain event, so their VNF chains still
+advance.  Fault events, timeline-sampler ticks and probe batches are plain
 heap events, so the *between-fault* segments of resilience runs warp
 automatically and faulted intervals (frozen vrings, preempted cores)
 fall back to real dispatch through the same per-span eligibility checks.
@@ -44,8 +49,9 @@ event (fault injections in particular) the next span is re-verified.
 from __future__ import annotations
 
 import types
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from math import inf
+from math import inf, nextafter
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import SimulationError
@@ -67,14 +73,15 @@ if TYPE_CHECKING:
 #: Turbo algorithm revision (documentation / report surface only: results
 #: are bit-identical to event-by-event execution, so it deliberately does
 #: not participate in campaign cache fingerprints).
-TURBO_VERSION = 1
+TURBO_VERSION = 2
 
 #: Spans verified by full real dispatch before bulk advance is trusted.
 VERIFY_SPANS = 2
 
 #: Minimum idle polls a span must promise before the bulk path engages;
-#: shorter gaps dispatch for real (the span setup would cost more than
-#: the handful of events it skips).
+#: shorter gaps step one proven-idle poll at a time, or dispatch for real
+#: before verification (the span setup would cost more than the handful
+#: of events it skips).
 MIN_SPAN_POLLS = 8
 
 _ITERATE = Core._iterate
@@ -152,10 +159,31 @@ def _add_lazy_benign() -> None:
 # A check returns the absolute sim time before which the task's polls are
 # pure no-ops: ``-inf`` means the very next poll does work, ``inf`` means
 # idle until an external event intervenes, and a finite value is a known
-# self-imposed deadline (l2fwd's TX drain timer: polls are no-ops while
-# frames sit buffered below the burst threshold, until the drain interval
-# elapses and a poll flushes).  Deadlines are stable within a span --
-# they only move when a poll does work, which ends the span.
+# self-imposed deadline (a timer the task tests as ``now - origin >=
+# interval``: t4p4s's strict-batch wait, FastClick's vif TX drain,
+# l2fwd's TX drain).  Deadlines are stable within a span -- they only
+# move when a poll does work, which ends the span.
+
+
+def _first_due(origin: float, interval: float) -> float:
+    """The least float ``t`` with ``t - origin >= interval``.
+
+    Every timer in the model fires on that subtraction test, and
+    ``origin + interval`` can round one ulp to either side of the
+    boundary; ``t - origin`` is monotone in ``t``, so a few
+    ``nextafter`` steps land on the exact first due time.
+    """
+    t = origin + interval
+    if t - origin >= interval:
+        below = nextafter(t, -inf)
+        while below - origin >= interval:
+            t = below
+            below = nextafter(t, -inf)
+        return t
+    t = nextafter(t, inf)
+    while t - origin < interval:
+        t = nextafter(t, inf)
+    return t
 
 
 def _switch_check(switch: SoftwareSwitch, paths) -> Callable[[], float] | None:
@@ -164,16 +192,32 @@ def _switch_check(switch: SoftwareSwitch, paths) -> Callable[[], float] | None:
         return None  # stalls/pipeline links carry time-based obligations
     if params.interrupt_driven or switch.obs is not None:
         return None
+    batch_size = params.batch_size
+    batch_wait = params.batch_wait_ns
+    tx_drain = params.tx_drain_ns
 
     def check(paths=tuple(paths)) -> float:
+        # Mirrors _serve_path's idle branches: a short batch waits until
+        # its strict-batch timer is due (_take_batch), buffered TX frames
+        # until the drain timer is due (_flush_drain).  Every other
+        # non-empty state pops or writes on the next poll.
+        deadline = inf
         for path in paths:
-            if (
-                path.input.input_ring._frames
-                or path.wait_started_ns is not None
-                or path.tx_buffer
-            ):
-                return -inf
-        return inf
+            frames = path.input.input_ring._frames
+            started = path.wait_started_ns
+            if frames:
+                if batch_wait is None or frames >= batch_size or started is None:
+                    return -inf
+                due = _first_due(started, batch_wait)
+                if due < deadline:
+                    deadline = due
+            elif started is not None:
+                return -inf  # the next poll clears the wait
+            if path.tx_buffer and tx_drain is not None:
+                due = _first_due(path.tx_buffer_since_ns, tx_drain)
+                if due < deadline:
+                    deadline = due
+        return deadline
 
     return check
 
@@ -189,8 +233,8 @@ def _l2fwd_check(task: GuestL2Fwd) -> Callable[[], float]:
         if task._tx_frames >= task.burst:
             return -inf
         # Buffered below the burst threshold: polls no-op until the
-        # drain timer fires (poll at t flushes iff t >= last + drain).
-        return task._last_flush_ns + task.drain_ns
+        # drain timer fires (poll at t flushes iff t - last >= drain).
+        return _first_due(task._last_flush_ns, task.drain_ns)
 
     return check
 
@@ -298,13 +342,9 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> None:
         raise _Decline("flow-churn" if population.churn_fps else "multi-flow-traffic")
     if tb.extras.get("flowstats") is not None:
         raise _Decline("flow-telemetry")
-    sw = tb.switch
-    if sw.params.pipeline or sw._stalls is not None:
-        raise _Decline("pipeline-switch")
-    if sw.params.interrupt_driven:
-        raise _Decline("interrupt-driven")
-    if sw.obs is not None:
+    if tb.switch.obs is not None:
         raise _Decline("per-packet-tracing")
+
 
 
 # -- the drive loop -----------------------------------------------------------
@@ -328,7 +368,7 @@ class _LoopState:
 
 
 def _advance(chains, bound_t, bound_s, t_end, seq):
-    """Merged k-way idle-chain advance (pure computation on ``chains``).
+    """Advance idle chains to the next event (pure computation on ``chains``).
 
     ``chains`` rows are ``[t, seq, cb, core, delay, fired, deadline]``;
     rows mutate in place.  Returns ``(total_fired, last_time, next_seq)``.
@@ -366,6 +406,75 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
         chain[1] = seq + total - 1
         chain[5] += total
         return total, last_t, seq + total
+    result = _advance_tie_free(chains, bound_t, t_end, seq)
+    if result is not None:
+        return result
+    return _merge_advance(chains, bound_t, bound_s, t_end, seq)
+
+
+def _advance_tie_free(chains, bound_t, t_end, seq):
+    """Multi-chain advance in plain time order, or None if a tie decides.
+
+    Each chain's polls come from the same repeated addition, generated
+    up to ``min(bound_t, t_end)`` and its own deadline.  The stop time
+    ``S`` is the earliest of ``bound_t`` and every chain's first poll at
+    or past its deadline.  When no two polls below ``S`` share a time and
+    none sits exactly at ``S``, the merge's ``(time, seq)`` order is time
+    order, so every poll below ``S`` fires and a chain's re-arm seq is
+    ``seq`` plus the merged rank of its last poll.  Otherwise the seqs
+    decide and the caller falls back to :func:`_merge_advance`; the rows
+    are untouched until the tie-free order is known to hold.
+    """
+    lim = bound_t if bound_t < t_end else t_end
+    stop = bound_t
+    runs = []
+    for chain in chains:
+        t = chain[0]
+        delay = chain[4]
+        deadline = chain[6]
+        # Polls past the running stop estimate can never fire; one at it
+        # is kept so the tie test below sees it.
+        cap = lim if lim < stop else stop
+        times = []
+        append = times.append
+        if deadline > cap:
+            while t <= cap:
+                append(t)
+                t += delay
+        else:
+            while t < deadline:
+                append(t)
+                t += delay
+            if t < stop:
+                stop = t  # this chain's first poll past its deadline
+        runs.append((times, t))
+    merged = []
+    cuts = []
+    for times, _next in runs:
+        cut = bisect_left(times, stop)
+        if cut < len(times):
+            if times[cut] == stop:
+                return None  # a poll at S: its seq decides
+            merged += times[:cut]
+        else:
+            merged += times
+        cuts.append(cut)
+    total = len(merged)
+    if not total:
+        return 0, None, seq
+    merged.sort()
+    if len(set(merged)) != total:
+        return None  # two chains poll at one time: their seqs decide
+    for chain, (times, t), cut in zip(chains, runs, cuts):
+        if cut:
+            chain[0] = times[cut] if cut < len(times) else t
+            chain[1] = seq + bisect_left(merged, times[cut - 1])
+            chain[5] += cut
+    return total, merged[-1], seq + total
+
+
+def _merge_advance(chains, bound_t, bound_s, t_end, seq):
+    """The k-way ``(time, seq)`` merge: the reference multi-chain advance."""
     total = 0
     last_t = None
     while True:
@@ -420,16 +529,14 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
         _eligibility(tb, watchdog_active)
     except _Decline as decline:
         return WarpReport(engaged=False, reason=decline.reason, mode="turbo")
-    _add_lazy_benign()
-
     sim = tb.sim
     if sim._running:
         raise SimulationError("dispatch is not reentrant")
-    st = _LoopState()
     # Profile every core upfront (the core set and the profile inputs are
     # fixed for the duration of a drive -- the per-drive cache below
-    # already relies on that).  Knowing there is exactly one eligible
-    # chain core lets the solo fast path skip its per-span queue scan.
+    # already relies on that).  With no chain-eligible core there is
+    # nothing to advance; knowing there is exactly one lets the solo fast
+    # path skip its per-span queue scan.
     profiles: dict[int, _Profile | None] = {}
     n_eligible = 0
     for node in tb.machine.nodes:
@@ -438,7 +545,18 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
             profiles[id(candidate)] = candidate_profile
             if candidate_profile is not None:
                 n_eligible += 1
+    if not n_eligible:
+        # Snabb's core (pipeline links, stall clock) and VALE's
+        # (interrupt-driven I/O) are never profiled: their testbeds
+        # engage only through VNF cores that are plain poll loops.
+        sw = tb.switch
+        if sw.params.pipeline or sw._stalls is not None:
+            return WarpReport(engaged=False, reason="pipeline-switch", mode="turbo")
+        if sw.params.interrupt_driven:
+            return WarpReport(engaged=False, reason="interrupt-driven", mode="turbo")
     solo_core = n_eligible == 1
+    _add_lazy_benign()
+    st = _LoopState()
     # Cached time of the earliest pending event that is *not* an idle
     # chain poll.  Only dispatched callbacks can schedule new events, so
     # the cache stays valid until a non-chain callback (or a busy poll)
@@ -517,6 +635,18 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
                                    _chain_delay(core), profiles, t_end, st)
                         if st.verified <= VERIFY_SPANS:
                             horizon_t = None
+                        continue
+                    if deadline > t and st.verified >= VERIFY_SPANS and not st.reverify:
+                        # Short gap, but this poll is provably a no-op:
+                        # apply its register updates as a one-poll span
+                        # instead of running the tasks' polls.
+                        sim._now = t
+                        sim.events_executed += 1
+                        core._idle_streak += 1
+                        seq = sim._seq
+                        heappush(queue, (t + _chain_delay(core), seq, cb))
+                        sim._seq = seq + 1
+                        st.bulk_events += 1
                         continue
                     # Short gap: dispatch for real.  An idle poll only
                     # re-arms itself, so the horizon survives unless the

@@ -1,6 +1,6 @@
 """Property-based tests for the fast-forward tiers' contracts.
 
-Three contracts, sampled with pinned hypothesis seeds so CI failures
+Four contracts, sampled with pinned hypothesis seeds so CI failures
 reproduce:
 
 1. **Turbo observable-invariance** -- on every turbo-eligible shape,
@@ -14,14 +14,22 @@ reproduce:
    warping the inter-fault stretches reproduces the event-exact
    degradation timeline and recovery metrics bit-for-bit, for sampled
    fault instants and durations.
+4. **Tie-free chain advance** -- the turbo's time-ordered multi-chain
+   advance either declines (leaving the chain rows untouched) or returns
+   exactly what the k-way ``(time, seq)`` merge returns and leaves the
+   same rows, across chains on shared and independent poll grids, bounds
+   and deadlines that land exactly on polls, and ``t_end`` cuts.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.fluid import fluid_tolerance
+from repro.core.turbo import _advance, _advance_tie_free, _merge_advance
 from repro.core.warp import state_fingerprint
 from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
@@ -131,3 +139,78 @@ class TestBetweenFaultExactness:
         assert rep_off.to_dict() == rep_on.to_dict()
         assert repr(res_off.gbps) == repr(res_on.gbps)
         assert res_off.events == res_on.events
+
+
+#: Idle re-arm delays: 30.77 ns is every default 2.6 GHz poll loop,
+#: 4230.77 ns Snabb's idle breath; the others are off that grid.
+_DELAYS = (30.76923076923077, 4230.7692307692305, 16.0, 33.333333333333336)
+
+
+def _poll_after(t, delay, steps):
+    """A chain's poll ``steps`` re-arms after ``t`` (repeated addition)."""
+    for _ in range(steps):
+        t += delay
+    return t
+
+
+@st.composite
+def _chain_spans(draw):
+    """Chain rows plus ``(bound_t, bound_s, t_end, seq)`` for one span."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    origin = draw(st.floats(min_value=0.0, max_value=1e7))
+    shared = draw(st.booleans())
+    grid_delay = draw(st.sampled_from(_DELAYS))
+    seqs = draw(
+        st.lists(st.integers(0, 10_000), min_size=n + 1, max_size=n + 1, unique=True)
+    )
+    rows = []
+    for index in range(n):
+        if shared:
+            # One poll grid, chains a few re-arms apart: every pair ties.
+            delay = grid_delay
+            t = _poll_after(origin, delay, draw(st.integers(0, 3)))
+        else:
+            delay = draw(st.sampled_from(_DELAYS))
+            t = origin + draw(st.floats(min_value=0.0, max_value=2 * delay))
+        rows.append([t, seqs[index], None, None, delay, 0, inf])
+    span = 60 * min(row[4] for row in rows)
+
+    def some_poll():
+        row = draw(st.sampled_from(rows))
+        steps = draw(st.one_of(st.just(0), st.integers(0, int(span / row[4]) + 1)))
+        return _poll_after(row[0], row[4], steps)
+
+    def some_time(kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "poll":
+            return some_poll()
+        if kind == "free":
+            return origin + draw(st.floats(min_value=0.0, max_value=span))
+        return inf
+
+    for row in rows:
+        # A poll time of its own chain or another one's.
+        row[6] = some_time(("none", "poll", "free"))
+    bound_t = some_time(("none", "poll", "free"))
+    t_end = some_time(("poll", "free"))
+    return rows, bound_t, seqs[-1], t_end, max(seqs) + 1
+
+
+class TestTieFreeAdvance:
+    @seed(20261017)
+    @settings(max_examples=300, deadline=None)
+    @given(case=_chain_spans())
+    def test_matches_the_merge(self, case):
+        rows, bound_t, bound_s, t_end, seq = case
+        ref = [list(row) for row in rows]
+        expected = _merge_advance(ref, bound_t, bound_s, t_end, seq)
+        fast = [list(row) for row in rows]
+        result = _advance_tie_free(fast, bound_t, t_end, seq)
+        if result is None:
+            assert fast == rows
+        else:
+            assert result == expected
+            assert fast == ref
+        rows_out = [list(row) for row in rows]
+        assert _advance(rows_out, bound_t, bound_s, t_end, seq) == expected
+        assert rows_out == ref

@@ -7,12 +7,26 @@ report plumbing on small windows.
 
 from __future__ import annotations
 
+import random
+from math import inf, nextafter
+
 import pytest
 
-from repro.core.turbo import turbo_drive
+from repro.core.packet import Packet
+from repro.core.turbo import (
+    _advance_tie_free,
+    _first_due,
+    _l2fwd_check,
+    _merge_advance,
+    _switch_check,
+    turbo_drive,
+)
 from repro.core.warp import state_fingerprint
+from repro.cpu.cores import Core
 from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
+from repro.vif.vhost_user import make_vhost_user_interface
+from repro.vm.apps import GuestL2Fwd
 
 FAST = dict(warmup_ns=2e5, measure_ns=3e6)
 
@@ -50,6 +64,132 @@ def test_turbo_skips_simulated_time_in_bulk():
     assert report.engaged and report.warped_ns > 0
     assert report.events_replayed > 0
     assert report.verify_ns > 0  # shadow verification actually ran
+
+
+def _assert_bit_identical(build, switch, kwargs, rate, window=FAST):
+    """Run warp off and on; return the warp-on result after comparing."""
+    bidir = kwargs.get("bidirectional", False)
+    tb_off = build(switch, frame_size=64, rate_pps=rate, seed=1, **kwargs)
+    r_off = drive(tb_off, bidirectional=bidir, warp=False, **window)
+    tb_on = build(switch, frame_size=64, rate_pps=rate, seed=1, **kwargs)
+    r_on = drive(tb_on, bidirectional=bidir, warp=True, **window)
+    assert state_fingerprint(tb_off) == state_fingerprint(tb_on)
+    assert [repr(v) for v in r_off.per_direction_gbps] == [
+        repr(v) for v in r_on.per_direction_gbps
+    ]
+    assert r_off.events == r_on.events
+    return r_on
+
+
+@pytest.mark.parametrize("switch", ["snabb", "vale"])
+def test_turbo_engages_on_vnf_chains_behind_unprofiled_switch_cores(switch):
+    """Snabb's and VALE's own core stays real; the VNF cores advance."""
+    window = dict(warmup_ns=1e5, measure_ns=1e6)
+    r_on = _assert_bit_identical(loopback.build, switch, {"n_vnfs": 2}, 5e5, window)
+    assert r_on.warp.engaged and r_on.warp.mode == "turbo"
+    assert r_on.warp.events_replayed > 0
+
+
+@pytest.mark.parametrize(
+    "switch,build,rate",
+    [
+        ("t4p4s", p2v.build, 1_000_000.0),
+        ("t4p4s", v2v.build, 800_000.0),
+        ("fastclick", p2v.build, 1_000_000.0),
+        ("fastclick", v2v.build, 800_000.0),
+    ],
+)
+def test_timer_waiting_polls_advance_in_bulk(switch, build, rate):
+    """Polls waiting on t4p4s's strict-batch or FastClick's TX-drain
+    timer are no-ops up to the timer's first due time."""
+    window = dict(warmup_ns=1e5, measure_ns=1e6)
+    r_on = _assert_bit_identical(build, switch, {}, rate, window)
+    assert r_on.warp.engaged
+    assert r_on.warp.events_replayed / r_on.events >= 0.5
+
+
+def test_first_due_is_the_least_due_float():
+    rng = random.Random(20261017)
+    above = below = 0
+    for _ in range(4000):
+        origin = rng.uniform(0.0, 10.0 ** rng.uniform(0, 9))
+        interval = rng.choice((27_000.0, 30_000.0, 60_000.0, 100_000.0))
+        t = _first_due(origin, interval)
+        assert t - origin >= interval
+        assert nextafter(t, -inf) - origin < interval
+        naive = origin + interval
+        above += t > naive
+        below += t < naive
+    # The naive sum misses the boundary by an ulp in both directions.
+    assert above and below
+
+
+def test_l2fwd_drain_deadline_is_the_first_flushing_poll(sim):
+    app = GuestL2Fwd(
+        sim, make_vhost_user_interface("eth0"), make_vhost_user_interface("eth1"),
+        burst=32, drain_ns=100_000.0,
+    )
+    app._tx_buffer = [Packet()]
+    app._tx_frames = 1
+    app._last_flush_ns = 11787.823596769442
+    # One ulp below _last_flush_ns + drain_ns, yet exactly drain_ns after it.
+    flush_at = 111787.82359676943
+    assert _l2fwd_check(app)() == flush_at
+    core = Core(sim, "vcpu0")
+    sim._now = nextafter(flush_at, -inf)
+    assert app.poll(core) == 0.0 and app._tx_buffer
+    sim._now = flush_at
+    assert app.poll(core) > 0.0 and not app._tx_buffer
+
+
+def test_switch_check_deadline_follows_the_strict_batch_timer():
+    tb = p2v.build("t4p4s", frame_size=64, seed=1)
+    sw = tb.switch
+    check = _switch_check(sw, sw.paths)
+    path = sw.paths[0]
+    ring = path.input.input_ring
+    assert check() == inf
+    ring.push_batch([Packet()])
+    assert check() == -inf  # the next poll starts the wait
+    path.wait_started_ns = 1234.5678
+    assert check() == _first_due(1234.5678, sw.params.batch_wait_ns)
+    ring.push_batch([Packet() for _ in range(sw.params.batch_size)])
+    assert check() == -inf  # a full batch pops at once
+    ring.pop_batch(ring.capacity)
+    assert check() == -inf  # the next poll clears the stale wait
+    path.wait_started_ns = None
+    assert check() == inf
+
+
+def test_switch_check_deadline_follows_the_tx_drain_timer():
+    tb = p2v.build("fastclick", frame_size=64, seed=1)
+    sw = tb.switch
+    path = next(path for path in sw.paths if path.output.is_vif)
+    check = _switch_check(sw, sw.paths)
+    assert check() == inf
+    path.tx_buffer = [Packet()]
+    path.tx_buffer_frames = 1
+    path.tx_buffer_since_ns = 98765.4321
+    assert check() == _first_due(98765.4321, sw.params.tx_drain_ns)
+    path.input.input_ring.push_batch([Packet()])
+    assert check() == -inf  # FastClick pops any batch at once
+
+
+def test_tie_free_advance_fires_in_time_order():
+    """Chains off each other's grid take the time-ordered path; the
+    property suite compares both paths with the merge on drawn spans."""
+    d = 30.76923076923077
+    # Rows are [t, seq, cb, core, delay, fired, deadline].
+    rows = [
+        [1000.0, 5, None, None, d, 0, inf],
+        [1010.0, 3, None, None, d, 0, inf],
+        [1020.0, 9, None, None, d, 0, 1400.0],
+    ]
+    ref = [list(row) for row in rows]
+    expected = _merge_advance(ref, 1500.0, 2, 2000.0, 100)
+    assert expected[0] > 0
+    assert _advance_tie_free(rows, 1500.0, 2000.0, 100) == expected
+    assert rows == ref
 
 
 def test_declines_on_pipeline_switch():

@@ -8,8 +8,15 @@ unidirectional and bidirectional p2p, p2v, v2v and a loopback VNF chain
   and RNG stream; :func:`repro.core.warp.state_fingerprint`) and the
   measured results are bit-identical between warp-off and warp-on runs;
 * the engine's engage/decline decision matches the contract: exact
-  switches engage (replay on clean uni p2p, the chain turbo elsewhere),
-  VALE declines as ``interrupt-driven``, Snabb as ``pipeline-switch``.
+  switches engage everywhere (replay on clean uni p2p, the chain turbo
+  elsewhere); Snabb and VALE engage the turbo on loopback, through the
+  VNF chain cores behind their unprofiled switch core, and decline
+  everywhere else as ``pipeline-switch`` and ``interrupt-driven`` (no
+  chain-eligible core);
+* every engaged sub-capacity cell bulk-advances at least half its
+  events (``events_replayed / events >= 0.5``): idle polls that only
+  wait on a timer (t4p4s's strict batch, FastClick's and l2fwd's TX
+  drains) must not fall back to event-by-event dispatch.
 
 Usage: ``PYTHONPATH=src python tools/warp_check.py [measure_ns]``
 (default 3 ms; CI runs the 10x window where warp covers most of the
@@ -27,9 +34,19 @@ from repro.scenarios import loopback, p2p, p2v, v2v
 
 SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s", "snabb", "vale"]
 
-#: Expected decline reasons for switches the fast-forward cannot prove
-#: safe; everything else must engage in every cell.
-EXPECTED_DECLINE = {"snabb": "pipeline-switch", "vale": "interrupt-driven"}
+#: Expected decline reasons per (switch, shape); every other cell must
+#: engage.  Snabb's and VALE's own cores are never profiled, so only
+#: shapes with a VNF chain core (loopback) engage on them.
+_UNPROFILED = {"snabb": "pipeline-switch", "vale": "interrupt-driven"}
+EXPECTED_DECLINE = {
+    (switch, shape): reason
+    for switch, reason in _UNPROFILED.items()
+    for shape in ("p2p", "p2p-bidi", "p2v", "v2v")
+}
+
+#: Least share of its events an engaged sub-capacity cell must advance
+#: in bulk.
+MIN_BULK_FRAC = 0.5
 
 #: (label, builder, build kwargs, sub-capacity rate in pps).  Rates sit
 #: at roughly 0.3x the slowest switch's capacity for the shape so the
@@ -61,11 +78,11 @@ def diff(a, b, path="root"):
         print(f"  MISMATCH at {path}:\n    off: {a!r}\n    on:  {b!r}")
 
 
-def check_engagement(switch, report):
+def check_engagement(switch, shape, report):
     """The engage/decline contract for one cell; returns an error or None."""
     if report is None:
         return "no warp report"
-    expected = EXPECTED_DECLINE.get(switch)
+    expected = EXPECTED_DECLINE.get((switch, shape))
     if expected is None:
         if not report.engaged:
             return f"expected engagement, got {report.describe()}"
@@ -95,18 +112,25 @@ def main():
                     == [repr(v) for v in r_on.per_direction_gbps]
                     and r_off.events == r_on.events
                 )
-                engage_err = check_engagement(switch, r_on.warp)
-                ok = ident and same_res and engage_err is None
+                engage_err = check_engagement(switch, shape, r_on.warp)
+                engaged = r_on.warp is not None and r_on.warp.engaged
+                frac = r_on.warp.events_replayed / r_on.events if engaged else 0.0
+                bulk_err = None
+                if engaged and rate is not None and frac < MIN_BULK_FRAC:
+                    bulk_err = f"bulk-advanced {frac:.2f} of events (< {MIN_BULK_FRAC})"
+                ok = ident and same_res and engage_err is None and bulk_err is None
                 if not ok:
                     failures += 1
                 wr = r_on.warp.describe() if r_on.warp else "none"
                 print(
                     f"{'OK ' if ok else 'FAIL'} {switch:10s} {shape:9s} "
                     f"{label:12s} off={w_off:6.3f}s on={w_on:6.3f}s "
-                    f"x{w_off / w_on:5.2f}  {wr}"
+                    f"x{w_off / w_on:5.2f} bulk={frac:4.2f}  {wr}"
                 )
                 if engage_err is not None:
                     print(f"  ENGAGEMENT: {engage_err}")
+                if bulk_err is not None:
+                    print(f"  BULK: {bulk_err}")
                 if not ident:
                     diff(f_off, f_on)
                 if not same_res:
