@@ -17,7 +17,6 @@ Examples::
     repro-bench campaign --suite paper --workers 4 --repeat 5 \\
         --seed-policy trial --ci-target 0.05 --trial-summary trials.json \\
         --store paper.jsonl --export-csv paper.csv
-    repro-bench perf --json
 
 Progress and telemetry go to stderr; tables, measurements and
 ``--export-csv -`` go to stdout, so output can be piped or redirected
@@ -39,6 +38,7 @@ from repro.switches.registry import switch_names
 
 #: Scenarios the single-run commands (and ``trace``) accept.
 _RUN_TARGETS = ("p2p", "p2v", "v2v", "loopback", "v2v-latency")
+_BUILDERS = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "scenario",
-        choices=["p2p", "p2v", "v2v", "loopback", "v2v-latency", "suite", "validate", "campaign", "trace", "perf", "resilience", "flowstats"],
-        help="test scenario (Sec. 4 of the paper), 'suite', 'validate', 'campaign', 'trace', 'perf', 'resilience' or 'flowstats'",
+        choices=["p2p", "p2v", "v2v", "loopback", "v2v-latency", "suite", "validate", "campaign", "trace", "resilience", "flowstats"],
+        help="test scenario (Sec. 4 of the paper), 'suite', 'validate', 'campaign', 'trace', 'resilience' or 'flowstats'",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
@@ -206,34 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bin-ns", type=float, default=None, metavar="NS",
         help="resilience: degradation timeline bin width (default 100000)",
     )
-    # --- simulator perf bench ('perf') ------------------------------------
-    parser.add_argument(
-        "--json", action="store_true",
-        help="perf: also write the report JSON to --perf-out",
-    )
-    parser.add_argument(
-        "--perf-out", default="BENCH_pr3.json", metavar="PATH",
-        help="perf: report JSON path (with --json; default BENCH_pr3.json)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="perf: baseline JSON for speedup columns "
-        "(default benchmarks/perf/baseline_pr3.json)",
-    )
-    parser.add_argument(
-        "--cases", default=None, metavar="A,B,...",
-        help="perf: run only these named cases (default: the standard grid; "
-        "long-horizon warp cases are opt-in by name or --long-horizon)",
-    )
-    parser.add_argument(
-        "--long-horizon", action="store_true",
-        help="perf: include the long-horizon warp A/B cases (10x window)",
-    )
-    parser.add_argument(
-        "--max-regress", type=float, default=None, metavar="PCT",
-        help="perf: fail (exit 4) when any case runs more than PCT%% slower "
-        "than the --baseline",
-    )
     return parser
 
 
@@ -269,52 +241,132 @@ def _flow_kwargs(args) -> dict:
     return kwargs
 
 
-#: Subcommands the flow-diversity axis reaches end to end.  Every other
-#: command rejects non-default flow flags via :func:`_flow_flags_error`
-#: instead of silently dropping them somewhere down its pipeline.
-_FLOW_COMMANDS = (
-    "p2p", "p2v", "v2v", "loopback", "trace", "flowstats", "suite",
-    "campaign", "resilience",
-)
+#: Scenarios with a throughput data path: the only ones that carry
+#: --bidirectional and the flow axis (v2v-latency drives a fixed probe).
+_THROUGHPUT_TARGETS = ("p2p", "p2v", "v2v", "loopback")
+_FLOW_FLAGS = ("--flows", "--flow-dist", "--churn", "--size-mix")
+#: Commands whose --repeat replicas need a stated --seed-policy.
+_SEED_POLICY_COMMANDS = ("suite", "validate", "campaign")
+
+#: Which commands read each flag.  A flag set away from its default on
+#: any other command is an error instead of being silently dropped.
+#: Flags whose use depends on another flag (--cache matters on single
+#: runs only with --latency) and the observability flags stay out.
+_FLAG_COMMANDS = {
+    ("--fault", "--epsilon", "--bin-ns"): ("resilience",),
+    ("--switches", "--store", "--resume", "--export-csv", "--timeout"): (
+        "campaign", "resilience",
+    ),
+    ("--ci-target", "--trial-summary"): ("campaign",),
+    ("--workers", "--repeat"): ("suite", "validate", "campaign", "resilience"),
+    ("--seed-policy",): _SEED_POLICY_COMMANDS,
+    ("--suite",): ("suite", "campaign"),
+    ("--size", "--bidirectional", "--vnfs"): (
+        *_RUN_TARGETS, "trace", "flowstats", "resilience",
+    ),
+    ("--latency",): _THROUGHPUT_TARGETS,
+    ("--switch",): (*_RUN_TARGETS, "suite", "trace", "flowstats", "resilience"),
+    _FLOW_FLAGS: (
+        *_THROUGHPUT_TARGETS, "trace", "flowstats", "suite", "campaign", "resilience",
+    ),
+}
+
+#: Flags a command reads only when it drives one of these scenarios.
+_FLAG_TARGETS = {
+    ("--vnfs",): ("loopback",),
+    ("--bidirectional", *_FLOW_FLAGS): _THROUGHPUT_TARGETS,
+}
 
 
-def _flow_flags_error(args) -> str | None:
-    """One validation path for --flows/--flow-dist/--churn/--size-mix.
+def _target(args) -> str | None:
+    """The scenario a command drives; None for suites and grids."""
+    if args.scenario in _RUN_TARGETS:
+        return args.scenario
+    if args.scenario in ("trace", "flowstats", "resilience"):
+        return args.target or "p2p"
+    return None
 
-    Returns the stderr line for invalid flags, or None when this
-    subcommand can honour them.  All commands funnel through here, so a
-    flag a command cannot carry is a consistent error everywhere.
+
+def _unread_flag(args, parser, table: dict, subject: str) -> tuple[str, tuple] | None:
+    """First non-default flag whose readers in ``table`` exclude ``subject``."""
+    for flags, readers in table.items():
+        if subject in readers:
+            continue
+        for flag in flags:
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) != parser.get_default(dest):
+                return flag, readers
+    return None
+
+
+def _flag_error(args, parser) -> tuple[int, str] | None:
+    """One validation path for every command, run before anything else.
+
+    Returns ``(exit code, stderr line)`` for the first bad flag, or None
+    when the command can honour every flag it was given.
     """
+    if args.switch not in switch_names():
+        return 1, (
+            f"unknown switch {args.switch!r}; valid switches: "
+            + ", ".join(sorted(switch_names()))
+        )
     try:
         counts = _flow_counts(args)
     except ValueError:
-        return f"bad --flows {args.flows!r}: expected counts like 1,1k,100k,1m"
+        return 1, f"bad --flows {args.flows!r}: expected counts like 1,1k,100k,1m"
     if len(counts) > 1 and args.scenario != "campaign":
-        return "--flows with a comma list sweeps a campaign axis; pick one count here"
+        return 1, "--flows with a comma list sweeps a campaign axis; pick one count here"
     if args.size_mix is not None:
         from repro.traffic.profiles import PROFILES
 
         if args.size_mix not in PROFILES:
-            return f"unknown --size-mix {args.size_mix!r}; known: {sorted(PROFILES)}"
-    nondefault = (
-        counts != [1]
-        or args.flow_dist != "uniform"
-        or bool(args.churn)
-        or args.size_mix is not None
-    )
-    if not nondefault:
-        return None
-    if args.scenario not in _FLOW_COMMANDS:
-        return (
-            "--flows/--flow-dist/--churn/--size-mix are not supported by "
-            f"'{args.scenario}'; flow-aware commands: " + ", ".join(_FLOW_COMMANDS)
+            return 1, f"unknown --size-mix {args.size_mix!r}; known: {sorted(PROFILES)}"
+    if args.fluid_tolerance is not None and args.fluid_tolerance <= 0:
+        return 1, "--fluid-tolerance must be positive"
+    unread = _unread_flag(args, parser, _FLAG_COMMANDS, args.scenario)
+    if unread is not None:
+        flag, readers = unread
+        return 1, (
+            f"{flag} is not supported by '{args.scenario}'; "
+            "commands that read it: " + ", ".join(readers)
         )
-    if args.scenario in ("trace", "flowstats") and (args.target or "p2p") == "v2v-latency":
-        return (
-            "the v2v-latency scenario drives a fixed probe flow; "
-            "flow-diversity flags are not supported"
+    target = _target(args)
+    unread = _unread_flag(args, parser, _FLAG_TARGETS, target) if target else None
+    if unread is not None:
+        flag, readers = unread
+        return 1, (
+            f"{flag} is not supported by the {target} scenario; "
+            "scenarios that read it: " + ", ".join(readers)
+        )
+    # Repeating without stating how replicas differ would silently pick
+    # one arbitrary interpretation, so it is a loud error.
+    if args.repeat > 1 and args.seed_policy is None and args.scenario in _SEED_POLICY_COMMANDS:
+        return 2, (
+            "--repeat > 1 is ambiguous without --seed-policy: pass "
+            "--seed-policy trial (soundness trials: same workload, "
+            "perturbed measurement phases, CI-converged early stopping) "
+            "or --seed-policy reseed (whole-workload reseeds, the legacy "
+            "consecutive-seed replicas)"
         )
     return None
+
+
+def _engine_env(args) -> dict[str, str]:
+    """Environment overrides for --warp/--fluid/--fluid-tolerance.
+
+    The engine switches travel through the environment, so every
+    execution path (single runs, sweeps, campaign workers under fork or
+    spawn) and the campaign cache fingerprint (``engine_features``) see
+    one setting without threading a kwarg through each call chain.
+    """
+    env = {}
+    if args.warp is not None:
+        env["REPRO_WARP"] = "1" if args.warp else "0"
+    if args.fluid is not None:
+        env["REPRO_FLUID"] = "1" if args.fluid else "0"
+    if args.fluid_tolerance is not None:
+        env["REPRO_FLUID_TOLERANCE"] = repr(args.fluid_tolerance)
+    return env
 
 
 def _workers(args) -> int | None:
@@ -483,13 +535,12 @@ def _observed_single_run(args) -> int:
     if scenario == "v2v-latency":
         tb = v2v.build_latency(args.switch, frame_size=args.size, seed=args.seed)
         observation = observe(tb, config)
-        result = drive(tb, **_windows(args), warp=args.warp)
+        result = drive(tb, **_windows(args))
         bottleneck_scenario = "v2v"
     else:
-        builders = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
         extra = {"n_vnfs": args.vnfs} if scenario == "loopback" else {}
         extra.update(_flow_kwargs(args))
-        tb = builders[scenario](
+        tb = _BUILDERS[scenario](
             args.switch,
             frame_size=args.size,
             bidirectional=args.bidirectional,
@@ -497,9 +548,7 @@ def _observed_single_run(args) -> int:
             **extra,
         )
         observation = observe(tb, config)
-        result = drive(
-            tb, **_windows(args), bidirectional=args.bidirectional, warp=args.warp
-        )
+        result = drive(tb, **_windows(args), bidirectional=args.bidirectional)
         bottleneck_scenario = scenario
     observation.finish(result)
 
@@ -890,112 +939,31 @@ def _run_resilience_command(args) -> int:
     return 3 if result.failures else 0
 
 
-def _run_perf_command(args) -> int:
-    """Simulator micro-benchmarks: events/sec and sim-Mpps per wall-second."""
-    import json
-
-    from repro.bench.perf import (
-        ALL_CASES,
-        PERF_CASES,
-        format_report,
-        perf_regressions,
-        run_perf,
-    )
-
-    cases = ALL_CASES if args.long_horizon else PERF_CASES
-    if args.cases:
-        want = {name.strip() for name in args.cases.split(",") if name.strip()}
-        unknown = sorted(want - {case.name for case in ALL_CASES})
-        if unknown:
-            print(f"unknown perf cases {unknown}; known: {[c.name for c in ALL_CASES]}")
-            return 1
-        cases = tuple(case for case in ALL_CASES if case.name in want)
-    # --repeat defaults to 1 for suites; the bench wants a few samples to
-    # find the noise-free minimum, so treat the default as "3".
-    repeat = args.repeat if args.repeat > 1 else 3
-    report = run_perf(
-        repeat=repeat,
-        cases=cases,
-        baseline_path=args.baseline,
-        progress=lambda msg: _note(f"[perf] {msg}"),
-    )
-    print(format_report(report))
-    if args.json:
-        with open(args.perf_out, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        _note(f"wrote {args.perf_out}")
-    if args.max_regress is not None:
-        regressions = perf_regressions(report, args.max_regress)
-        if regressions is None:
-            _note("perf gate: no baseline to compare against; failing closed")
-            return 4
-        if regressions:
-            for name, ratio in regressions:
-                _note(
-                    f"perf gate: {name} regressed to x{ratio:.2f} of baseline "
-                    f"(floor x{1.0 - args.max_regress / 100.0:.2f})"
-                )
-            return 4
-        _note(
-            f"perf gate: {len(report.get('speedup', {}))} cases within "
-            f"{args.max_regress:g}% of baseline"
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    builders = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
-
-    if args.switch not in switch_names():
-        _note(
-            f"unknown switch {args.switch!r}; valid switches: "
-            + ", ".join(sorted(switch_names()))
-        )
-        return 1
-
-    error = _flow_flags_error(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    error = _flag_error(args, parser)
     if error is not None:
-        _note(error)
-        return 1
+        code, message = error
+        _note(message)
+        return code
+    # The engine flags hold for this command only: the caller's values,
+    # unset included, come back however the command ends.
+    overrides = _engine_env(args)
+    saved = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
+    try:
+        return _run_command(args)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
-    # --fluid/--fluid-tolerance flow through the environment so every
-    # execution path (single runs, campaign workers, sweeps) and the
-    # campaign cache fingerprint (engine_features) see one consistent
-    # setting without threading a kwarg through each call chain.
-    if args.fluid is not None:
-        os.environ["REPRO_FLUID"] = "1" if args.fluid else "0"
-    if args.fluid_tolerance is not None:
-        if args.fluid_tolerance <= 0:
-            _note("--fluid-tolerance must be positive")
-            return 1
-        os.environ["REPRO_FLUID_TOLERANCE"] = repr(args.fluid_tolerance)
 
-    # One --repeat semantics for the statistical commands: repeating
-    # without stating how replicas differ would silently pick one
-    # arbitrary interpretation, so it is a loud error (perf is exempt --
-    # its repeats are wall-clock samples of the same computation).
-    _TRIAL_COMMANDS = ("suite", "validate", "campaign")
-    if args.seed_policy is not None and args.scenario not in _TRIAL_COMMANDS:
-        _note(
-            f"--seed-policy is not supported by '{args.scenario}'; "
-            "replica-aware commands: " + ", ".join(_TRIAL_COMMANDS)
-        )
-        return 1
-    if args.repeat > 1 and args.scenario in _TRIAL_COMMANDS and args.seed_policy is None:
-        _note(
-            "--repeat > 1 is ambiguous without --seed-policy: pass "
-            "--seed-policy trial (soundness trials: same workload, "
-            "perturbed measurement phases, CI-converged early stopping) "
-            "or --seed-policy reseed (whole-workload reseeds, the legacy "
-            "consecutive-seed replicas)"
-        )
-        return 2
-
-    if args.scenario == "perf":
-        return _run_perf_command(args)
-
+def _run_command(args) -> int:
+    """Run one validated command; returns its exit code."""
     if args.scenario == "campaign":
         return _run_campaign_command(args)
 
@@ -1118,14 +1086,14 @@ def main(argv: list[str] | None = None) -> int:
         if _obs_config(args) is not None:
             return _observed_single_run(args)
         tb = v2v.build_latency(args.switch, frame_size=args.size, seed=args.seed)
-        result = drive(tb, **_windows(args), warp=args.warp)
+        result = drive(tb, **_windows(args))
         latency = result.latency
         mean = latency.mean_us if latency is not None and len(latency) else float("nan")
         std = latency.std_us if latency is not None and len(latency) else float("nan")
         print(f"v2v RTT latency for {args.switch}: mean={mean:.1f} us std={std:.1f} us")
         return 0
 
-    build = builders[args.scenario]
+    build = _BUILDERS[args.scenario]
     extra = {"n_vnfs": args.vnfs} if args.scenario == "loopback" else {}
     extra.update(_flow_kwargs(args))
 
@@ -1164,7 +1132,6 @@ def main(argv: list[str] | None = None) -> int:
         frame_size=args.size,
         bidirectional=args.bidirectional,
         seed=args.seed,
-        warp=args.warp,
         **_windows(args),
         **extra,
     )

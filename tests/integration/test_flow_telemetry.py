@@ -278,7 +278,6 @@ def test_cli_flow_flags_error_on_unsupported_commands(capsys):
     for argv in (
         ["v2v-latency", "--switch", "vale", "--flows", "100"],
         ["validate", "--flows", "100"],
-        ["perf", "--flows", "100"],
         ["flowstats", "v2v-latency", "--switch", "vale", "--flows", "100"],
     ):
         assert main(argv) == 1, argv

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import os
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _flag_error, main
+from repro.core.warp import engine_features
 from repro.switches.registry import switch_names
+
+FAST = ["--warmup-ns", "100000", "--measure-ns", "300000"]
 
 
 def test_throughput_command(capsys):
@@ -143,66 +152,6 @@ def test_unknown_scenario_rejected():
         main(["warp-drive"])
 
 
-def test_perf_command_writes_report(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    out_path = tmp_path / "bench.json"
-    assert main([
-        "perf", "--cases", "engine.dispatch", "--repeat", "1",
-        "--json", "--perf-out", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "engine.dispatch" in out
-    assert "Mev/s" in out
-    import json
-
-    report = json.loads(out_path.read_text())
-    assert report["cases"]["engine.dispatch"]["events_per_sec"] > 0
-    # The committed baseline resolves independently of the cwd.
-    assert "speedup" in report
-
-
-def test_perf_rejects_unknown_case(capsys):
-    assert main(["perf", "--cases", "nope"]) == 1
-    assert "unknown perf cases" in capsys.readouterr().out
-
-
-def test_perf_gate_passes_within_tolerance(tmp_path, capsys):
-    """--max-regress lets the bench fail CI; a generous baseline passes."""
-    import json
-
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"cases": {"engine.dispatch": {"kind": "engine", "wall_s": 1e9}}}
-    ))
-    assert main([
-        "perf", "--cases", "engine.dispatch", "--repeat", "1",
-        "--baseline", str(baseline), "--max-regress", "20",
-    ]) == 0
-    assert "perf gate" in capsys.readouterr().err
-
-
-def test_perf_gate_fails_on_regression(tmp_path, capsys):
-    import json
-
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"cases": {"engine.dispatch": {"kind": "engine", "wall_s": 1e-9}}}
-    ))
-    assert main([
-        "perf", "--cases", "engine.dispatch", "--repeat", "1",
-        "--baseline", str(baseline), "--max-regress", "20",
-    ]) == 4
-    assert "regressed" in capsys.readouterr().err
-
-
-def test_perf_gate_fails_closed_without_baseline(tmp_path, capsys):
-    assert main([
-        "perf", "--cases", "engine.dispatch", "--repeat", "1",
-        "--baseline", str(tmp_path / "missing.json"), "--max-regress", "20",
-    ]) == 4
-    assert "failing closed" in capsys.readouterr().err
-
-
 def test_profile_surfaces_warp_state(capsys):
     """--profile reports what the fast-forward did (here: why it declined
     -- per-packet profiling is one of the replay-safety guard rails)."""
@@ -214,3 +163,87 @@ def test_profile_surfaces_warp_state(capsys):
 def test_no_warp_flag(capsys):
     assert main(["p2p", "--switch", "vpp", "--profile", "--no-warp"]) == 0
     assert "warp: disabled" in capsys.readouterr().out
+
+
+def test_no_warp_reaches_campaign_runs(tmp_path):
+    """--no-warp pins the tier off in every run a campaign executes, so
+    no row records a fast-forward tier."""
+    csv_path = tmp_path / "out.csv"
+    assert main([
+        "campaign", "--suite", "smoke", "--switches", "vpp", "--no-warp",
+        "--no-cache", "--export-csv", str(csv_path), *FAST,
+    ]) == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert [row["warp"] for row in rows] == [""] * len(rows)
+
+
+def test_engine_flags_do_not_leak_out_of_main(monkeypatch):
+    """The engine flags hold for one command; main() hands the caller's
+    environment back as it found it, unset variables included."""
+    monkeypatch.delenv("REPRO_WARP", raising=False)
+    monkeypatch.delenv("REPRO_FLUID_TOLERANCE", raising=False)
+    monkeypatch.setenv("REPRO_FLUID", "0")
+    before = engine_features()
+    for flags in (["--fluid", "--fluid-tolerance", "0.1"], ["--no-warp"]):
+        assert main(["p2p", "--switch", "vpp", *flags, *FAST]) == 0
+        assert "REPRO_WARP" not in os.environ
+        assert "REPRO_FLUID_TOLERANCE" not in os.environ
+        assert os.environ["REPRO_FLUID"] == "0"
+        assert engine_features() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["p2p", "--switch", "vpp",
+     "--fault", "nic-link-flap@sut-nic.p1:at_ns=300000,duration_ns=200000"],
+    ["p2p", "--repeat", "3", "--store", "x.jsonl"],
+    ["p2p", "--repeat", "3"],
+    ["p2p", "--vnfs", "3"],
+    ["v2v-latency", "--latency"],
+    ["trace", "v2v-latency", "--bidirectional"],
+    ["validate", "--suite", "paper"],
+    ["campaign", "--size", "1024"],
+    ["campaign", "--bidirectional"],
+    ["campaign", "--vnfs", "3"],
+    ["campaign", "--latency"],
+    ["campaign", "--switch", "bess"],
+])
+def test_flags_a_command_never_reads_are_rejected(argv, capsys):
+    assert main(argv) == 1
+    assert "not supported" in capsys.readouterr().err
+
+
+def _documented_invocations():
+    """Every repro-bench command line in the shell blocks of README and
+    docs/, and every ``python -m repro.cli`` step in the CI workflow, as
+    (source, argv) pairs."""
+    root = Path(__file__).resolve().parents[2]
+    sources = [
+        (path.name, "repro-bench ", "\n".join(
+            re.findall(r"```(?:bash|console)\n(.*?)```", path.read_text(), re.S)
+        ))
+        for path in (root / "README.md", *sorted((root / "docs").glob("*.md")))
+    ]
+    sources.append(
+        ("ci.yml", "-m repro.cli ", (root / ".github" / "workflows" / "ci.yml").read_text())
+    )
+    for name, marker, text in sources:
+        for line in text.replace("\\\n", " ").splitlines():
+            if marker not in line:
+                continue
+            argv = []
+            for token in shlex.split(line.split(marker, 1)[1], comments=True):
+                if token in ("|", ">", "&&", ";"):
+                    break
+                argv.append(token)
+            yield name, argv
+
+
+def test_documented_invocations_pass_flag_validation():
+    invocations = list(_documented_invocations())
+    assert sum(name == "README.md" for name, _ in invocations) >= 15
+    assert sum(name == "ci.yml" for name, _ in invocations) >= 8
+    parser = _build_parser()
+    for name, argv in invocations:
+        assert _flag_error(parser.parse_args(argv), parser) is None, (name, argv)

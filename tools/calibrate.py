@@ -4,6 +4,7 @@ paper-reported values.
 Usage::
 
     python tools/calibrate.py [--throughput] [--latency] [--loopback]
+        [--loopback-latency]
 
 Used during development to tune repro.switches.params; the benches reuse
 the same code paths.
@@ -12,9 +13,19 @@ the same code paths.
 from __future__ import annotations
 
 import argparse
-import math
+import sys
 import time
 
+sys.path.insert(0, "src")
+
+from repro.analysis.paper_values import (
+    FIG4A_P2P_UNI_64B,
+    FIG4B_P2V_UNI_64B,
+    FIG4C_V2V_UNI_64B,
+    TABLE3,
+    TABLE4,
+    VPP_P2V_REVERSED_64B,
+)
 from repro.analysis.tables import format_table
 from repro.measure.latency import latency_sweep
 from repro.measure.throughput import measure_throughput
@@ -22,29 +33,24 @@ from repro.scenarios import loopback, p2p, p2v, v2v
 from repro.switches.registry import ALL_SWITCHES
 from repro.vm.machine import QemuCompatibilityError
 
-# Paper values (64B / 256B / 1024B); None = not stated numerically.
-PAPER_P2P_UNI = {"bess": 10, "fastclick": 10, "vpp": 10, "ovs-dpdk": 8.05, "snabb": 8.9, "vale": 5.56, "t4p4s": 5.6}
-PAPER_P2P_BIDI = {"bess": 16, "fastclick": 11.5, "vpp": 11, "ovs-dpdk": 8.05, "snabb": 8.9, "vale": 5.6, "t4p4s": 5.6}
-PAPER_P2V_UNI = {"bess": 10, "fastclick": 7.0, "vpp": 6.9, "ovs-dpdk": 6.0, "snabb": 5.97, "vale": 5.77, "t4p4s": 4.04}
-PAPER_P2V_BIDI64 = {"bess": 11.38, "vpp": 5.9}
-PAPER_V2V_UNI = {"vale": 10.5, "snabb": 6.42}
-PAPER_TABLE3_P2P = {
-    "bess": (4.0, 4.6, 6.4),
-    "fastclick": (5.3, 7.8, 8.4),
-    "ovs-dpdk": (4.3, 5.2, 9.6),
-    "snabb": (7.3, 11.3, 22),
-    "vpp": (4.5, 5.9, 13.1),
-    "vale": (32, 34, 59),
-    "t4p4s": (32, 31, 174),
-}
-PAPER_TABLE4 = {"bess": 37, "fastclick": 45, "ovs-dpdk": 43, "snabb": 67, "vpp": 42, "vale": 21, "t4p4s": 70}
+
+def paper(value):
+    """A paper cell: the reported number, or "n/a" where the paper gives
+    none (a range, a plot only, or no run)."""
+    return "n/a" if value is None else value
+
+
+def paper_rtts(name, key):
+    """Table 3's (0.10, 0.50, 0.99) x R+ RTTs for one switch and key
+    ("p2p" or a chain length); "n/a" where the paper has no run."""
+    return TABLE3[name][key] or ("n/a",) * 3
 
 
 def throughput_grid() -> None:
     for scenario, build, paper_uni in (
-        ("p2p", p2p.build, PAPER_P2P_UNI),
-        ("p2v", p2v.build, PAPER_P2V_UNI),
-        ("v2v", v2v.build, PAPER_V2V_UNI),
+        ("p2p", p2p.build, FIG4A_P2P_UNI_64B),
+        ("p2v", p2v.build, FIG4B_P2V_UNI_64B),
+        ("v2v", v2v.build, FIG4C_V2V_UNI_64B),
     ):
         rows = []
         for name in ALL_SWITCHES:
@@ -53,7 +59,7 @@ def throughput_grid() -> None:
                 for bidi in (False, True):
                     r = measure_throughput(build, name, size, bidirectional=bidi)
                     row.append(r.gbps)
-            row.append(paper_uni.get(name, math.nan))
+            row.append(paper(paper_uni[name]))
             rows.append(row)
         print(
             format_table(
@@ -65,7 +71,7 @@ def throughput_grid() -> None:
         print()
     # VPP reversed-path probe
     r = measure_throughput(p2v.build, "vpp", 64, reversed_path=True)
-    print(f"VPP p2v reversed 64B: {r.gbps:.2f} Gbps (paper: 5.59)\n")
+    print(f"VPP p2v reversed 64B: {r.gbps:.2f} Gbps (paper: {VPP_P2V_REVERSED_64B})\n")
 
 
 def loopback_grid() -> None:
@@ -96,13 +102,13 @@ def latency_grid() -> None:
     rows = []
     for name in ALL_SWITCHES:
         points = latency_sweep(p2p.build, name, 64)
-        paper = PAPER_TABLE3_P2P.get(name, (math.nan,) * 3)
+        low, mid, high = paper_rtts(name, "p2p")
         rows.append(
             [
                 name,
-                points[0.10].mean_us, paper[0],
-                points[0.50].mean_us, paper[1],
-                points[0.99].mean_us, paper[2],
+                points[0.10].mean_us, low,
+                points[0.50].mean_us, mid,
+                points[0.99].mean_us, high,
             ]
         )
     print(
@@ -119,8 +125,8 @@ def latency_grid() -> None:
     for name in ALL_SWITCHES:
         tb = v2v.build_latency(name)
         result = drive(tb, measure_ns=4_000_000.0)
-        mean = result.latency.mean_us if result.latency and len(result.latency) else math.nan
-        rows.append([name, mean, PAPER_TABLE4[name]])
+        mean = result.latency.mean_us if result.latency and len(result.latency) else None
+        rows.append([name, mean, TABLE4[name]])
     print(format_table(["switch", "RTT", "paper"], rows, title="== v2v latency (us) vs Table 4 =="))
 
 
@@ -128,14 +134,16 @@ def loopback_latency_grid() -> None:
     for n in (1, 2, 3, 4):
         rows = []
         for name in ALL_SWITCHES:
+            low, mid, high = paper_rtts(name, n)
             try:
                 points = latency_sweep(loopback.build, name, 64, n_vnfs=n)
-                rows.append([name, points[0.10].mean_us, points[0.50].mean_us, points[0.99].mean_us])
+                measured = [points[fraction].mean_us for fraction in (0.10, 0.50, 0.99)]
             except QemuCompatibilityError:
-                rows.append([name, None, None, None])
+                measured = [None, None, None]
+            rows.append([name, measured[0], low, measured[1], mid, measured[2], high])
         print(
             format_table(
-                ["switch", "0.1R+", "0.5R+", "0.99R+"],
+                ["switch", "0.1R+", "paper", "0.5R+", "paper", "0.99R+", "paper"],
                 rows,
                 title=f"== loopback-{n} latency (us) vs Table 3 ==",
             )
