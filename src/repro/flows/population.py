@@ -16,7 +16,9 @@ Design notes
 * **Sampling is vectorised and cache-friendly.**  Zipf draws go through a
   precomputed CDF + ``searchsorted`` instead of ``rng.choice(p=...)``,
   which rebuilds the distribution per call -- the difference between
-  milliseconds and minutes at a million flows.
+  milliseconds and minutes at a million flows.  The CDF is built once
+  per process per (flows, alpha) (:func:`repro.traffic.profiles.zipf_cdf`),
+  not once per testbed or trial replica.
 
 * **Churn is deterministic.**  Rather than spending RNG state on
   arrival/departure processes (which would perturb serial-vs-parallel
@@ -33,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.traffic.profiles import PROFILES, SizeProfile
+from repro.traffic.profiles import PROFILES, SizeProfile, zipf_cdf
 
 #: Flow-rate distributions a population can use.
 FLOW_DISTS = ("uniform", "zipf")
@@ -87,18 +89,10 @@ class FlowPopulation:
         return PROFILES[self.size_mix] if self.size_mix else None
 
     def _cdf(self) -> np.ndarray | None:
-        """Cumulative rank-popularity distribution (Zipf only), cached."""
+        """Cumulative rank-popularity distribution (Zipf only), shared."""
         if self.dist != "zipf" or self.flows == 1:
             return None
-        cached = self.__dict__.get("_cdf_cache")
-        if cached is None:
-            ranks = np.arange(1, self.flows + 1, dtype=float)
-            pmf = ranks ** (-self.zipf_alpha)
-            pmf /= pmf.sum()
-            cached = np.cumsum(pmf)
-            cached[-1] = 1.0  # guard searchsorted against rounding
-            object.__setattr__(self, "_cdf_cache", cached)
-        return cached
+        return zipf_cdf(self.flows, self.zipf_alpha)
 
     def sample_flows(
         self, rng: np.random.Generator, count: int, now_ns: float = 0.0
@@ -112,7 +106,7 @@ class FlowPopulation:
         if self.flows == 1:
             ranks = np.zeros(count, dtype=np.int64)
         elif self.dist == "zipf":
-            ranks = np.searchsorted(self._cdf(), rng.random(count)).astype(np.int64)
+            ranks = self._cdf().searchsorted(rng.random(count)).astype(np.int64, copy=False)
         else:
             ranks = rng.integers(0, self.flows, size=count)
         if self.churn_fps:

@@ -140,22 +140,29 @@ class T4P4S(SoftwareSwitch):
         for item in batch:
             runs = item.flows if item.flows is not None else ((item.flow_id, item.count),)
             for flow, count in runs:
-                cycles += lookup * (1.0 + len(keys) / capacity) * count
+                # One term per frame, in frame order, so a run costs exactly
+                # what its frames cost one by one: the first frame probes at
+                # the starting occupancy, a miss inserts, and the rest of
+                # the run hits at the occupancy the first frame left.
+                cycles += lookup * (1.0 + len(keys) / capacity)
                 if flow in keys:
                     self.flow_hits += count
                     if flowstats is not None:
                         flowstats.cache(flow, count, 0)
-                    continue
-                self.flow_misses += 1
-                if flowstats is not None:
-                    flowstats.cache(flow, count - 1, 1)
-                cycles += T4P4S_FLOW_MISS_EXTRA.per_packet
-                if len(keys) >= capacity:
-                    keys.pop(next(iter(keys)))
-                    self.flow_evictions += 1
-                keys[flow] = 1
-                if count > 1:
+                else:
+                    self.flow_misses += 1
+                    if flowstats is not None:
+                        flowstats.cache(flow, count - 1, 1)
+                    cycles += T4P4S_FLOW_MISS_EXTRA.per_packet
+                    if len(keys) >= capacity:
+                        keys.pop(next(iter(keys)))
+                        self.flow_evictions += 1
+                    keys[flow] = 1
                     self.flow_hits += count - 1
+                if count > 1:
+                    term = lookup * (1.0 + len(keys) / capacity)
+                    for _ in range(count - 1):
+                        cycles += term
         return cycles
 
     def on_flow_population(self, population) -> None:

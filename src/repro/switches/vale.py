@@ -64,25 +64,31 @@ class Vale(SoftwareSwitch):
                         0 if known else 1,
                     )
                 self._learn_src(item.src_mac, path.input)
+                if item.dst_mac not in table:
+                    # Unknown destination: a real VALE floods; the measured
+                    # scenarios use static single-destination traffic, so
+                    # we only account for it.
+                    self.flooded += item.count
             else:
                 # Multi-flow block: one learning step per run.  Per-run
                 # source MACs are derived from the template base (see
-                # PacketBlock.flows), never materialised.
+                # PacketBlock.flows), never materialised.  The destination
+                # test follows each run's learning, as it follows each
+                # frame's under per-packet emission: a source learned
+                # mid-block can be the destination.
                 mac_base = item.src_mac - item.flow_id
-                for flow, _count in runs:
+                dst = item.dst_mac
+                for flow, count in runs:
                     if flowstats is not None:
                         known = (mac_base + flow) in table
                         flowstats.cache(
                             flow,
-                            _count if known else _count - 1,
+                            count if known else count - 1,
                             0 if known else 1,
                         )
                     self._learn_src(mac_base + flow, path.input)
-            if item.dst_mac not in table:
-                # Unknown destination: a real VALE floods; the measured
-                # scenarios use static single-destination traffic, so we
-                # only account for it.
-                self.flooded += item.count
+                    if dst not in table:
+                        self.flooded += count
 
     def _learn_src(self, src: int, input_port: Attachment) -> None:
         table = self._mac_table

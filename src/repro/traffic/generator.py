@@ -175,14 +175,17 @@ class PacedSource:
         rng = self._rng
         sizes = None
         if self.size_profile is not None:
-            sizes = self.size_profile.sample(rng, burst)
-        flows = self.flow_population.sample_flows(rng, burst, now)
+            sizes = self.size_profile.sample(rng, burst).tolist()
+        # Python ints from here on: the run-length scan below costs one
+        # comparison per frame, not a NumPy scalar access.
+        ranks = self.flow_population.sample_flows(rng, burst, now).tolist()
+        base = self.flow_id
         batch: list[Packet | PacketBlock] = []
         start = 0
         if self.probe_interval_ns is not None and now >= self._next_probe_at:
-            flow = self.flow_id + int(flows[0])
+            flow = base + ranks[0]
             probe = Packet(
-                size=int(sizes[0]) if sizes is not None else self.frame_size,
+                size=sizes[0] if sizes is not None else self.frame_size,
                 flow_id=flow,
                 src_mac=DEFAULT_SRC_MAC + flow,
                 t_created=now,
@@ -200,17 +203,22 @@ class PacedSource:
                 size = self.frame_size
                 j = burst
             else:
-                size = int(sizes[i])
+                size = sizes[i]
                 j = i + 1
                 while j < burst and sizes[j] == size:
                     j += 1
-            runs: list[list[int]] = []
-            for k in range(i, j):
-                flow = self.flow_id + int(flows[k])
-                if runs and runs[-1][0] == flow:
-                    runs[-1][1] += 1
+            block_ranks = iter(ranks[i:j])
+            rank = next(block_ranks)
+            count = 1
+            runs = []
+            for next_rank in block_ranks:
+                if next_rank == rank:
+                    count += 1
                 else:
-                    runs.append([flow, 1])
+                    runs.append((base + rank, count))
+                    rank = next_rank
+                    count = 1
+            runs.append((base + rank, count))
             first_flow = runs[0][0]
             batch.append(
                 acquire_block(
@@ -220,9 +228,7 @@ class PacedSource:
                     DEFAULT_DST_MAC,
                     now,
                     j - i,
-                    flows=(
-                        tuple((f, c) for f, c in runs) if len(runs) > 1 else None
-                    ),
+                    flows=tuple(runs) if len(runs) > 1 else None,
                 )
             )
             i = j

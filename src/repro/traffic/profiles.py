@@ -16,6 +16,7 @@ plus flow-structure helpers for the OvS flow-cache experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,18 +104,27 @@ class FlowProfile:
         """Draw ``count`` flow ids."""
         if self.zipf_alpha == 0.0:
             return rng.integers(0, self.flow_count, size=count)
-        # Inverse-CDF sampling off a cached cumulative distribution:
-        # ``rng.choice(p=...)`` rebuilds its alias table on every call,
-        # which is prohibitive at 10^6 flows.
-        cdf = self.__dict__.get("_cdf_cache")
-        if cdf is None:
-            ranks = np.arange(1, self.flow_count + 1, dtype=float)
-            pmf = ranks ** (-self.zipf_alpha)
-            pmf /= pmf.sum()
-            cdf = np.cumsum(pmf)
-            cdf[-1] = 1.0
-            object.__setattr__(self, "_cdf_cache", cdf)
-        return np.searchsorted(cdf, rng.random(count)).astype(np.int64)
+        cdf = zipf_cdf(self.flow_count, self.zipf_alpha)
+        return cdf.searchsorted(rng.random(count)).astype(np.int64, copy=False)
+
+
+@lru_cache(maxsize=4)
+def zipf_cdf(flows: int, alpha: float) -> np.ndarray:
+    """Cumulative Zipf(``alpha``) rank popularity over ``flows`` ranks.
+
+    Inverse-CDF sampling (``cdf.searchsorted(u)``) replaces
+    ``rng.choice(p=...)``, which rebuilds its alias table on every call --
+    prohibitive at 10^6 flows.  One read-only array is shared per
+    (flows, alpha) per process; the memo holds four, which covers a
+    1K/10K/100K/1M sweep.
+    """
+    ranks = np.arange(1, flows + 1, dtype=float)
+    pmf = ranks ** (-alpha)
+    pmf /= pmf.sum()
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0  # guard searchsorted against rounding
+    cdf.flags.writeable = False
+    return cdf
 
 
 SINGLE_FLOW = FlowProfile(name="single", flow_count=1)

@@ -4,20 +4,41 @@ The block representation and the scheduler fast paths are *encodings*, not
 model changes: every observable figure -- throughput, loss, latency, meter
 and port counters, observed metrics -- must be bit-identical to running
 the same scenario with seed-style one-object-per-frame emission, and a run
-must be deterministic regardless of how many runs preceded it.
+must be deterministic regardless of how many runs preceded it.  The same
+holds for multi-flow traffic, whose blocks carry flow run-lengths -- with
+one recorded exception, driver hiccups (see
+:class:`TestMultiFlowScenarioIdentity`).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
+import numpy as np
+import pytest
 from _helpers import FAST_MEASURE_NS, FAST_WARMUP_NS
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import Simulator
 from repro.core.packet import PacketBlock, per_packet_emission
+from repro.flows import FlowPopulation
+from repro.flows.population import FLOW_DISTS
 from repro.measure.runner import drive
 from repro.scenarios import p2p, v2v
 from repro.traffic.generator import PacedSource
+
+
+class _Recorder(PacedSource):
+    """A source that keeps every batch it emits."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.emitted = []
+
+    def _emit(self, batch):
+        self.emitted.extend(batch)
 
 
 def _canon(value):
@@ -121,16 +142,8 @@ class TestSeqDeterminism:
 
     @staticmethod
     def _emitted_seqs(probe_interval=20_000.0, per_packet=False):
-        class Recorder(PacedSource):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.emitted = []
-
-            def _emit(self, batch):
-                self.emitted.extend(batch)
-
         sim = Simulator()  # resets the per-run seq counter
-        src = Recorder(sim, rate_pps=2e6, frame_size=64, probe_interval_ns=probe_interval)
+        src = _Recorder(sim, rate_pps=2e6, frame_size=64, probe_interval_ns=probe_interval)
         if per_packet:
             with per_packet_emission():
                 src.start(0.0)
@@ -165,6 +178,111 @@ class TestSeqDeterminism:
             return _run_stats(tb, _drive_fast(tb))
 
         assert stats() == stats()
+
+
+def _emitted_frames(population, rate_pps, flow_id, probe_interval, rng_seed, per_packet):
+    """Every frame a multi-flow source emits in 60 us, plus its RNG's end state."""
+    sim = Simulator()  # resets the per-run seq counter
+    rng = np.random.default_rng(rng_seed)
+    src = _Recorder(
+        sim, rate_pps=rate_pps, frame_size=64, flow_id=flow_id,
+        probe_interval_ns=probe_interval, flow_population=population, rng=rng,
+    )
+    with per_packet_emission() if per_packet else nullcontext():
+        src.start(0.0)
+        sim.run_until(60_000.0)
+    frames = []
+    for item in src.emitted:
+        packets = item.materialize() if item.__class__ is PacketBlock else (item,)
+        # A block's template is its first frame (the NIC hashes it).
+        assert (item.flow_id, item.src_mac) == (packets[0].flow_id, packets[0].src_mac)
+        frames.extend(
+            (p.size, p.flow_id, p.src_mac, p.t_created, p.seq, p.is_probe) for p in packets
+        )
+    return frames, rng.bit_generator.state
+
+
+class TestMultiFlowEmissionIdentity:
+    @seed(20261017)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dist=st.sampled_from(FLOW_DISTS),
+        flows=st.integers(min_value=2, max_value=10**6),
+        churn=st.sampled_from((0.0, 2e5, 1e9)),
+        size_mix=st.sampled_from((None, "imix")),
+        rate_pps=st.sampled_from((1e6, 14.88e6)),
+        flow_id=st.sampled_from((0, 1_000)),
+        probe_interval=st.sampled_from((None, 1_000.0, 20_000.0)),
+        rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(  # the largest population perfbench's flow-zipf offers
+        dist="zipf", flows=10**6, churn=0.0, size_mix=None, rate_pps=14.88e6,
+        flow_id=0, probe_interval=20_000.0, rng_seed=7,
+    )
+    def test_blocks_materialise_to_the_per_packet_stream(
+        self, dist, flows, churn, size_mix, rate_pps, flow_id, probe_interval, rng_seed
+    ):
+        """A flow-population source's blocks are the per-packet stream,
+        frame by frame, and both modes leave the RNG in the same state."""
+        population = FlowPopulation(flows=flows, dist=dist, churn_fps=churn, size_mix=size_mix)
+        args = (population, rate_pps, flow_id, probe_interval, rng_seed)
+        blocks, block_state = _emitted_frames(*args, per_packet=False)
+        frames, frame_state = _emitted_frames(*args, per_packet=True)
+        assert blocks == frames
+        assert block_state == frame_state
+
+
+#: Flow populations the scenario identity runs offer (p2p, seed 3).
+MULTI_FLOW_POPULATIONS = {
+    "zipf-1k": {"flows": 1_000, "flow_dist": "zipf"},
+    "uniform-100-churn": {"flows": 100, "churn": 2e5},
+    "zipf-500-imix": {"flows": 500, "flow_dist": "zipf", "size_mix": "imix"},
+}
+
+
+def _multi_flow_run(switch: str, population: dict, hiccups: bool = False):
+    tb = p2p.build(switch, frame_size=64, seed=3, **population)
+    if not hiccups:
+        for port in (*tb.extras["gen_ports"], *tb.extras["sut_ports"]):
+            port.driver_drop_prob = 0.0
+    drive(tb, warmup_ns=100_000.0, measure_ns=600_000.0)
+    return (
+        [(m.packets, m.bytes, m.warmup_packets) for m in tb.meters],
+        tb.switch.cache_stats(),
+        repr(tb.sut_core.busy_ns),
+    )
+
+
+class TestMultiFlowScenarioIdentity:
+    """Multi-flow p2p runs: blocks and per-packet emission agree on the
+    meters, the switch's cache counters and the SUT core's busy time.
+
+    Driver hiccups are off on every port.  A multi-flow block's hiccup
+    hash uses the block's template flow id for every frame, while
+    per-packet emission hashes each frame's own flow id, so the two
+    encodings drop different frames; ``docs/flows.md`` records why that
+    stays.  The strict xfail below keeps the difference visible.
+    """
+
+    @pytest.mark.parametrize("population", sorted(MULTI_FLOW_POPULATIONS))
+    @pytest.mark.parametrize("switch", ("ovs-dpdk", "vale", "t4p4s", "vpp"))
+    def test_block_and_per_packet_runs_identical(self, switch, population):
+        flows = MULTI_FLOW_POPULATIONS[population]
+        blocks = _multi_flow_run(switch, flows)
+        with per_packet_emission():
+            exact = _multi_flow_run(switch, flows)
+        assert blocks == exact
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="multi-flow driver hiccups hash the block's template flow id",
+    )
+    def test_driver_hiccups_identical(self):
+        flows = MULTI_FLOW_POPULATIONS["uniform-100-churn"]
+        blocks = _multi_flow_run("vpp", flows, hiccups=True)
+        with per_packet_emission():
+            exact = _multi_flow_run("vpp", flows, hiccups=True)
+        assert blocks == exact
 
 
 class TestCoreParkingEquivalence:

@@ -8,17 +8,21 @@ Invariants under arbitrary run-length flow traffic:
 * eviction under a pinned seed is deterministic (same traffic, same
   counters -- the serial-vs-parallel campaign identity depends on it);
 * block-fold classification equals per-run classification (the flyweight
-  summary loses nothing the cache models care about).
+  summary loses nothing the cache models care about), and for VALE and
+  t4p4s equals per-frame classification: the counters and cycles of one
+  multi-flow block match those of one Packet per frame.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Simulator
-from repro.core.packet import PacketBlock
+from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, Packet, PacketBlock
 from repro.flows import FlowPopulation
 from repro.switches.ovs_dpdk import OvsDpdk
 from repro.switches.t4p4s import T4P4S
@@ -36,6 +40,23 @@ runs_strategy = st.lists(
 
 def _frames(runs) -> int:
     return sum(count for _, count in runs)
+
+
+def _block(runs, mac_base: int = 0xAA0000, dst_mac: int = 0xBB0000) -> PacketBlock:
+    """One block carrying ``runs`` as its flow summary."""
+    return PacketBlock(
+        64, runs[0][0], mac_base + runs[0][0], dst_mac, 0.0,
+        count=_frames(runs), flows=tuple(runs) if len(runs) > 1 else None,
+    )
+
+
+def _packets(runs, mac_base: int = 0xAA0000, dst_mac: int = 0xBB0000) -> list[Packet]:
+    """The same frames as :func:`_block`, one Packet each."""
+    return [
+        Packet(size=64, flow_id=flow, src_mac=mac_base + flow, dst_mac=dst_mac)
+        for flow, count in runs
+        for _ in range(count)
+    ]
 
 
 class TestOvsEmcProperties:
@@ -66,10 +87,7 @@ class TestOvsEmcProperties:
     def test_block_fold_equals_run_fold(self, runs):
         """Classifying a multi-flow block == classifying its runs."""
         folded = OvsDpdk(Simulator(), emc_entries=16)
-        block = PacketBlock(
-            64, runs[0][0], 0xAA0000 + runs[0][0], 0xBB0000, 0.0,
-            count=_frames(runs), flows=tuple(runs) if len(runs) > 1 else None,
-        )
+        block = _block(runs)
         cycles_block = folded._proc_cycles([block], None, block.count, 64 * block.count)
 
         unrolled = OvsDpdk(Simulator(), emc_entries=16)
@@ -93,14 +111,48 @@ class TestValeMacTableProperties:
         # Every learn adds one entry, every eviction removes one.
         assert stats["mac_entries"] == stats["mac_learned"] - stats["mac_evictions"]
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=2, max_value=63), st.integers(min_value=1, max_value=8)
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.integers(min_value=1, max_value=8),
+        runs_strategy,
+    )
+    @seed(20261017)
+    @settings(max_examples=40, deadline=None)
+    def test_block_fold_equals_per_frame_fold(self, head, flow1_count, tail):
+        """Forwarding a multi-flow block == forwarding its frames one by one.
+
+        Flow 1's source MAC is the traffic's destination MAC, so a run of
+        flow 1 mid-block makes the destination known part-way through:
+        the frames ahead of it flood, the frames after it do not (until
+        an eviction forgets it again).
+        """
+        runs = [*head, (1, flow1_count), *tail]
+        path = SimpleNamespace(input=None)
+        folded = Vale(Simulator(), mac_entries=16)
+        folded._on_forward([_block(runs, DEFAULT_SRC_MAC, DEFAULT_DST_MAC)], path)
+        unrolled = Vale(Simulator(), mac_entries=16)
+        unrolled._on_forward(_packets(runs, DEFAULT_SRC_MAC, DEFAULT_DST_MAC), path)
+        assert folded.cache_stats() == unrolled.cache_stats()
+
+
+def _armed_t4p4s(capacity: int = 16) -> T4P4S:
+    sw = T4P4S(Simulator())
+    sw.on_flow_population(FlowPopulation(flows=64))
+    sw.flow_table_entries = capacity
+    return sw
+
 
 class TestT4p4sFlowTableProperties:
     @given(runs_strategy)
     @settings(max_examples=60, deadline=None)
     def test_occupancy_bounded_and_frames_conserved(self, runs):
-        sw = T4P4S(Simulator())
-        sw.on_flow_population(FlowPopulation(flows=64))
-        sw.flow_table_entries = 16
+        sw = _armed_t4p4s()
         blocks = [
             PacketBlock(64, flow, 0xAA0000 + flow, 0xBB0000, 0.0, count=count)
             for flow, count in runs
@@ -111,6 +163,20 @@ class TestT4p4sFlowTableProperties:
         assert stats["flow_entries"] <= stats["flow_capacity"] == 16
         assert stats["flow_hits"] + stats["flow_misses"] == _frames(runs)
         assert stats["flow_evictions"] <= stats["flow_misses"]
+
+    @given(runs_strategy)
+    @seed(20261017)
+    @settings(max_examples=40, deadline=None)
+    def test_block_fold_equals_per_frame_fold(self, runs):
+        """A multi-flow block costs, bit for bit, what its frames cost one
+        by one: every frame pays the lookup at the occupancy it sees, so
+        the frames after a miss see the table one entry fuller."""
+        folded = _armed_t4p4s()
+        unrolled = _armed_t4p4s()
+        cycles_block = folded._flow_table_cycles([_block(runs)])
+        cycles_frames = unrolled._flow_table_cycles(_packets(runs))
+        assert repr(cycles_block) == repr(cycles_frames)
+        assert folded.cache_stats() == unrolled.cache_stats()
 
     @given(runs_strategy)
     @settings(max_examples=30, deadline=None)

@@ -115,6 +115,19 @@ class TestSampling:
         assert (np.diff(cdf) >= 0).all()
         assert FlowPopulation(flows=1000)._cdf() is None  # uniform: no CDF
 
+    def test_zipf_cdf_shared_across_populations(self):
+        """Trial replicas and rebuilt testbeds reuse one read-only CDF."""
+        pop = FlowPopulation(flows=1000, dist="zipf")
+        replica = FlowPopulation(flows=1000, dist="zipf", churn_fps=5.0, churn_offset_ns=1e6)
+        assert pop._cdf() is replica._cdf()
+        assert not pop._cdf().flags.writeable
+
+    def test_zipf_draws_pinned(self):
+        pop = FlowPopulation(flows=1000, dist="zipf")
+        ranks = pop.sample_flows(_rng(5), 16)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [140, 143, 12, 2, 0, 4, 5, 0, 0, 990, 37, 1, 7, 753, 340, 202]
+
 
 class TestResolve:
     def test_trivial_resolves_to_none(self):

@@ -14,6 +14,7 @@ from repro.traffic.profiles import (
     FlowProfile,
     SizeProfile,
     fixed,
+    zipf_cdf,
 )
 
 
@@ -80,11 +81,51 @@ class TestFlowProfile:
         counts = np.bincount(draws, minlength=100)
         assert counts[0] > 5 * counts[50]
 
+    def test_zipf_draws_pinned(self):
+        """The shared CDF draws exactly what the per-profile one drew."""
+        profile = FlowProfile("z", flow_count=100, zipf_alpha=1.2)
+        draws = profile.sample(np.random.default_rng(5), 16)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [21, 22, 3, 1, 0, 1, 2, 0, 0, 99, 8, 0, 2, 79, 42, 28]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FlowProfile("bad", flow_count=0)
         with pytest.raises(ValueError):
             FlowProfile("bad", flow_count=1, zipf_alpha=-1)
+
+
+class TestZipfCdf:
+    def test_read_only(self):
+        cdf = zipf_cdf(1000, 1.1)
+        assert not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 0.5
+
+    def test_well_formed(self):
+        cdf = zipf_cdf(1000, 1.1)
+        assert cdf.shape == (1000,)
+        assert cdf[-1] == 1.0
+        assert (np.diff(cdf) > 0).all()
+
+    def test_one_array_per_flows_and_alpha(self):
+        assert zipf_cdf(1000, 1.1) is zipf_cdf(1000, 1.1)
+        assert zipf_cdf(1000, 1.1) is not zipf_cdf(1000, 1.2)
+
+    def test_profile_and_population_share_it(self):
+        from repro.flows import FlowPopulation
+
+        FlowProfile("z", flow_count=777, zipf_alpha=1.3).sample(np.random.default_rng(0), 1)
+        misses = zipf_cdf.cache_info().misses
+        assert FlowPopulation(flows=777, dist="zipf", zipf_alpha=1.3)._cdf() is zipf_cdf(777, 1.3)
+        assert zipf_cdf.cache_info().misses == misses
+
+    def test_memo_is_bounded(self):
+        for flows in range(2, 12):
+            zipf_cdf(flows, 1.1)
+        info = zipf_cdf.cache_info()
+        assert info.maxsize == 4
+        assert info.currsize == 4
 
 
 class TestGeneratorIntegration:

@@ -24,6 +24,21 @@ from repro.vm.machine import QemuCompatibilityError
 
 BUILDERS = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
 
+#: Multi-flow cells: (key, builder, switch, flow-axis kwargs).  Each also
+#: records the switch's cache counters, which single-flow traffic never
+#: moves off their hit paths.
+FLOW_CELLS = (
+    ("flows/p2p/ovs-dpdk/zipf-1k", p2p.build, "ovs-dpdk",
+     {"flows": 1_000, "flow_dist": "zipf"}),
+    ("flows/p2v/ovs-dpdk/zipf-100k", p2v.build, "ovs-dpdk",
+     {"flows": 100_000, "flow_dist": "zipf"}),
+    ("flows/p2p/vale/zipf-1k", p2p.build, "vale", {"flows": 1_000, "flow_dist": "zipf"}),
+    ("flows/p2p/t4p4s/zipf-1k", p2p.build, "t4p4s", {"flows": 1_000, "flow_dist": "zipf"}),
+    ("flows/p2p/vpp/uniform-100-churn-2e5", p2p.build, "vpp", {"flows": 100, "churn": 2e5}),
+    ("flows/p2p/vale/zipf-500-imix", p2p.build, "vale",
+     {"flows": 500, "flow_dist": "zipf", "size_mix": "imix"}),
+)
+
 
 def _canon(value):
     if isinstance(value, float):
@@ -100,6 +115,14 @@ def capture() -> dict:
                 "p99": _canon(lat.percentile_us(99)) if len(lat) else None,
             }
             print(f"  {key}: ok ({len(lat)} samples)", file=sys.stderr)
+    for key, build, switch, flow_kwargs in FLOW_CELLS:
+        tb = build(switch, frame_size=64, **flow_kwargs)
+        stats = _run_stats(tb, drive(tb))
+        stats["cache"] = {
+            name: _canon(value) for name, value in tb.switch.cache_stats().items()
+        }
+        golden[key] = stats
+        print(f"  {key}: ok", file=sys.stderr)
     # One observed run: metrics snapshot must be bit-identical too.
     from repro.obs.session import ObsConfig, observe
 
