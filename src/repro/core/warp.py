@@ -5,11 +5,12 @@ same poll/burst machinery: the generator's pacing chain, wire
 serialisation, the PCIe push, and the switch's poll loop form a small,
 closed set of event shapes whose future evolution is fully determined by
 a handful of floats and counters.  :func:`try_warp` detects that regime,
-*verifies* it by shadow-replaying a slice of the window against real
-dispatch, and then replays the remainder of the window with specialised
-handlers that perform **the same floating-point operations in the same
-order** as event-by-event execution -- bypassing only the generic heap
-dispatch, closure allocation, and layered call overhead.  Every counter,
+*verifies* it by shadow-replaying the run's opening slice against real
+dispatch, and then replays the rest of the run (warm-up and measurement
+window alike) with specialised handlers that perform **the same
+floating-point operations in the same order** as event-by-event
+execution -- bypassing only the generic heap dispatch, closure
+allocation, and layered call overhead.  Every counter,
 timestamp accumulation, RNG draw, and pending-event seq is reconstructed
 exactly; the result is bit-identical to the un-warped run.
 
@@ -26,7 +27,8 @@ Safety model
   clone during verification) at exactly the poll instants real dispatch
   would, so the RNG stream advances identically.
 * **Two-pass verification**: before committing anything, the first slice
-  of the window is executed *both* ways -- real dispatch on the real
+  of the run (cold-start paths such as OvS-DPDK's first-packet upcall
+  included) is executed *both* ways -- real dispatch on the real
   testbed, replay on cloned state -- and every counter, float, ring
   entry, RNG state and pending event is compared bitwise.  On any
   mismatch the warp declines; the real run was only ever advanced by
@@ -66,7 +68,9 @@ if TYPE_CHECKING:
 #: fingerprint so cached rows from different engine modes never mix.
 #: 2: the replay hashes hiccups with the port's trial-salted name hash
 #: (revision 1 replayed trial k > 0 with the unsalted one).
-WARP_VERSION = 2
+#: 3: verification starts at the run's first event and the replay covers
+#: the warm-up, so short windows behind a long warm-up engage.
+WARP_VERSION = 3
 
 #: Smallest shadow-verification slice.  Must cover several jitter
 #: resample periods so the RNG-clone replay is actually exercised.
@@ -111,6 +115,11 @@ class WarpReport:
     ``mode`` names the tier that produced the report: ``"replay"`` for
     the p2p steady-state mirror, ``"turbo"`` for the multi-hop chain
     turbo, ``"fluid"`` for the rate-based approximation tier.
+
+    ``warped_ns`` is the simulated time the tier fast-forwarded.  The
+    replay covers everything after its verify slice, warm-up included,
+    so for it ``warped_ns`` is ``warmup + measure - verify_ns`` and can
+    exceed the measurement window.
     """
 
     engaged: bool
@@ -535,8 +544,9 @@ def _prescan(ctx: _Ctx, st: _Snap, t_end: float) -> None:
         idx = np.arange(max_index, dtype=np.uint64)
         limit = np.uint64(_hiccup_limit(prob))
         # Chunk the (timestamps x frame-index) matrix to bound memory on
-        # long horizons (300 ms x 256-frame batches would be ~300 MB flat).
-        step = max(1, (1 << 22) // max_index)
+        # long horizons (300 ms x 256-frame batches would be ~300 MB flat):
+        # at most 16K uint64 elements, 128 KB, per temporary.
+        step = max(1, (1 << 14) // max_index)
         for lo in range(0, len(base), step):
             chunk = base[lo:lo + step]
             values = (chunk[:, None] ^ idx[None, :]) * prime
@@ -1086,32 +1096,34 @@ def _commit(ctx: _Ctx, st: _Snap) -> None:
 
 def try_warp(
     tb: "Testbed",
-    t_open: float,
     t_close: float,
     watchdog_active: bool = False,
 ) -> WarpReport:
-    """Attempt to fast-forward ``tb`` across the measurement window.
+    """Attempt to fast-forward ``tb`` from where its simulator stands to
+    ``t_close``.
 
-    Called by :func:`repro.measure.runner.drive` before its final
-    ``run_until(t_close)``.  On engagement the simulator is left at the
-    exact state event-by-event execution would have produced after the
-    last event at or before ``t_close`` (the caller's ``run_until`` then
-    just advances the clock).  On decline the simulator has only been
-    advanced by real dispatch (possibly not at all) and the caller's
-    ``run_until`` finishes the run normally.
+    Called by :func:`repro.measure.runner.drive` on a fresh testbed,
+    before its final ``run_until(t_close)``.  The first ``verify_ns`` are
+    dispatched for real and checked against a shadow replay; the rest,
+    warm-up and measurement window alike, is replayed (the replay applies
+    the meter's own window test to every arrival).  On engagement the
+    simulator is left at the exact state event-by-event execution would
+    have produced after the last event at or before ``t_close`` (the
+    caller's ``run_until`` then just advances the clock).  On decline the
+    simulator has only been advanced by real dispatch (possibly not at
+    all) and the caller's ``run_until`` finishes the run normally.
     """
     try:
         ctx = _eligibility(tb, watchdog_active)
     except _Decline as decline:
         return WarpReport(engaged=False, reason=decline.reason)
 
+    sim = tb.sim
     verify_ns = max(MIN_VERIFY_NS, 2.5 * tb.switch.params.jitter_period_ns)
-    t_verify = t_open + verify_ns
+    t_verify = sim.now + verify_ns
     if t_close - t_verify < verify_ns:
         return WarpReport(engaged=False, reason="span-too-short")
 
-    sim = tb.sim
-    sim.run_until(t_open)
     try:
         st0 = _snapshot(ctx)
         _prescan(ctx, st0, t_verify)

@@ -112,7 +112,7 @@ def drive(
         )
     elif warp if warp is not None else warp_enabled():
         if fluid_report is None or not fluid_report.advanced:
-            warp_report = try_warp(tb, t_open, t_close, watchdog is not None)
+            warp_report = try_warp(tb, t_close, watchdog is not None)
         if warp_report is None or not warp_report.engaged:
             # The replay warp handles clean unidirectional p2p; everything
             # else falls through to the chain turbo, which dispatches the

@@ -1,20 +1,25 @@
 """Property-based tests for the fast-forward tiers' contracts.
 
-Four contracts, sampled with pinned hypothesis seeds so CI failures
+Five contracts, sampled with pinned hypothesis seeds so CI failures
 reproduce:
 
-1. **Turbo observable-invariance** -- on every turbo-eligible shape,
+1. **Replay observable-invariance** -- on clean unidirectional p2p the
+   replay tier, which verifies the run's opening slice and replays the
+   rest, warm-up included, is bit-identical to warp-off runs wherever
+   the window opens (in the verify slice or in the replay), for sampled
+   (switch, rate, warm-up, trial, seed).
+2. **Turbo observable-invariance** -- on every turbo-eligible shape,
    warp-on runs are bit-identical to warp-off runs: same end-state
    fingerprint, same per-direction rates (repr-compared), same event
    count, for sampled (switch, shape, rate, seed).
-2. **Fluid tolerance** -- when the fluid tier engages, the extrapolated
+3. **Fluid tolerance** -- when the fluid tier engages, the extrapolated
    rate is within the declared tolerance of the exact rate, across a
    sampled (rate, seed, window) grid.
-3. **Between-fault exactness** -- a resilience run with the chain turbo
+4. **Between-fault exactness** -- a resilience run with the chain turbo
    warping the inter-fault stretches reproduces the event-exact
    degradation timeline and recovery metrics bit-for-bit, for sampled
    fault instants and durations.
-4. **Tie-free chain advance** -- the turbo's time-ordered multi-chain
+5. **Tie-free chain advance** -- the turbo's time-ordered multi-chain
    advance either declines (leaving the chain rows untouched) or returns
    exactly what the k-way ``(time, seq)`` merge returns and leaves the
    same rows, across chains on shared and independent poll grids, bounds
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core.fluid import fluid_tolerance
 from repro.core.turbo import _advance, _advance_tie_free, _merge_advance
+from repro.core.units import line_rate_pps
 from repro.core.warp import state_fingerprint
 from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
@@ -44,6 +50,38 @@ SHAPES = {
 }
 
 EXACT_SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s"]
+
+
+class TestReplayInvariance:
+    @seed(20261017)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        switch=st.sampled_from(EXACT_SWITCHES),
+        # Sub-capacity up to line rate, past every switch's capacity.
+        rate=st.floats(min_value=0.3e6, max_value=line_rate_pps(64)),
+        # No warm-up; the window opening inside the verify slice; and
+        # opening inside the replay.
+        warmup_ns=st.sampled_from([0.0, 100_000.0, 600_000.0]),
+        trial=st.sampled_from([0, 3]),
+        run_seed=st.integers(min_value=1, max_value=1_000_000),
+    )
+    def test_warp_on_matches_warp_off(self, switch, rate, warmup_ns, trial, run_seed):
+        def run(warp):
+            tb = p2p.build(switch, frame_size=64, rate_pps=rate, seed=run_seed, trial=trial)
+            res = drive(tb, warmup_ns=warmup_ns, measure_ns=7e5, warp=warp)
+            return res, state_fingerprint(tb)
+
+        r_off, f_off = run(False)
+        r_on, f_on = run(True)
+        assert r_on.warp is not None and r_on.warp.engaged
+        assert r_on.warp.mode == "replay"
+        # The fingerprint includes the meter's warm-up count, which the
+        # replay accumulates for every arrival before the window opens.
+        assert f_off == f_on
+        assert [repr(v) for v in r_off.per_direction_gbps] == [
+            repr(v) for v in r_on.per_direction_gbps
+        ]
+        assert r_off.events == r_on.events
 
 
 class TestTurboInvariance:

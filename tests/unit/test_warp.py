@@ -17,8 +17,15 @@ import pytest
 from repro.core.engine import SimulationError, Simulator
 from repro.core.stats import RateMeter
 from repro.core.warp import (
+    MIN_VERIFY_NS,
     WARP_VERSION,
     WarpReport,
+    _clone_backend,
+    _eligibility,
+    _prescan,
+    _replay,
+    _snapshot,
+    _switch_view,
     engine_features,
     state_fingerprint,
     try_warp,
@@ -31,6 +38,13 @@ from repro.scenarios import p2p, v2v
 
 WARMUP = 600_000.0
 MEASURE = 3_000_000.0
+
+#: Switches the replay tier engages on (clean unidirectional p2p).
+REPLAY_SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s"]
+
+
+def _verify_ns(tb):
+    return max(MIN_VERIFY_NS, 2.5 * tb.switch.params.jitter_period_ns)
 
 
 def _drive(tb, warp):
@@ -105,6 +119,47 @@ def test_replay_hashes_hiccups_with_the_trial_salt(switch, trial):
     assert on == off
 
 
+@pytest.mark.parametrize("switch", REPLAY_SWITCHES)
+def test_replay_starts_at_the_first_event(switch):
+    # Only the verify slice at the run's start is dispatched; the replay
+    # covers the rest of the warm-up and the whole window.
+    tb = p2p.build(switch, frame_size=64, rate_pps=3e6)
+    verify_ns = _verify_ns(tb)
+    report = _drive(tb, warp=True).warp
+    assert report is not None and report.engaged and report.mode == "replay"
+    assert report.verify_ns == verify_ns
+    # t_close - t_verify, with the slice starting at t = 0.
+    assert report.warped_ns == (WARMUP + MEASURE) - verify_ns
+    assert report.warped_ns > MEASURE
+
+
+@pytest.mark.parametrize("switch", REPLAY_SWITCHES)
+def test_shadow_replay_from_the_first_event_leaves_the_live_switch_alone(switch):
+    # The shadow backend's switch is a shallow clone (t4p4s's table
+    # entries stay shared); a hook that mutated shared state would
+    # corrupt the live run from t = 0.
+    tb = p2p.build(switch, frame_size=64, rate_pps=3e6)
+    ctx = _eligibility(tb, False)
+    live = _switch_view(ctx.sw, ctx.path.jitter)
+    before = state_fingerprint(tb)
+    st = _snapshot(ctx)
+    _prescan(ctx, st, _verify_ns(tb))
+    shadow = _clone_backend(ctx)
+    _replay(ctx, st, shadow, _verify_ns(tb))
+    assert _switch_view(ctx.sw, ctx.path.jitter) == live
+    assert state_fingerprint(tb) == before
+    if switch == "ovs-dpdk":
+        # The slice opens with the flow's first packet: the shadow took
+        # the cold-start upcall and installed the megaflow, the live
+        # switch did not.
+        def upcall_state(view):
+            _, (_, _, upcalls, _, megaflows, _) = view
+            return upcalls, megaflows
+
+        assert upcall_state(_switch_view(shadow.sw, shadow.jitter)) == (1, (ctx.flow_id,))
+        assert upcall_state(live) == (0, ())
+
+
 def test_warp_engages_under_saturating_input():
     tb = p2p.build("bess", frame_size=64)
     result = _drive(tb, warp=True)
@@ -115,7 +170,7 @@ def test_warp_engages_under_saturating_input():
 
 
 def _reason(tb, watchdog_active=False):
-    report = try_warp(tb, WARMUP, WARMUP + MEASURE, watchdog_active)
+    report = try_warp(tb, WARMUP + MEASURE, watchdog_active)
     assert not report.engaged
     return report.reason
 
@@ -170,7 +225,7 @@ def test_declines_on_bidirectional_traffic():
 @pytest.mark.parametrize("switch", ["snabb", "vale"])
 def test_declines_on_unsupported_switches(switch):
     tb = p2p.build(switch, frame_size=64)
-    report = try_warp(tb, WARMUP, WARMUP + MEASURE, False)
+    report = try_warp(tb, WARMUP + MEASURE, False)
     assert not report.engaged
     assert report.reason  # a stable, non-empty reason is part of the contract
     # ...and the run still completes normally afterwards.
@@ -181,7 +236,7 @@ def test_declines_on_unsupported_switches(switch):
 
 def test_declines_on_short_span():
     tb = p2p.build("vpp", frame_size=64)
-    report = try_warp(tb, 100_000.0, 200_000.0, False)
+    report = try_warp(tb, 200_000.0, False)
     assert not report.engaged
     assert report.reason == "span-too-short"
 

@@ -16,7 +16,10 @@ unidirectional and bidirectional p2p, p2v, v2v and a loopback VNF chain
 * every engaged sub-capacity cell bulk-advances at least half its
   events (``events_replayed / events >= 0.5``): idle polls that only
   wait on a timer (t4p4s's strict batch, FastClick's and l2fwd's TX
-  drains) must not fall back to event-by-event dispatch.
+  drains) must not fall back to event-by-event dispatch;
+* every cell that engages the replay starts it at the run's first
+  event: it dispatches only its verify slice and replays the warm-up
+  too, so ``warped_ns == (warmup + measure) - verify_ns``.
 
 Usage: ``PYTHONPATH=src python tools/warp_check.py [measure_ns]``
 (default 3 ms; CI runs the 10x window where warp covers most of the
@@ -94,17 +97,32 @@ def check_engagement(switch, shape, report):
     return None
 
 
+def check_replay_start(report, warmup, measure):
+    """A replay must cover everything after its verify slice; returns an
+    error or None."""
+    if report is None or not report.engaged or report.mode != "replay":
+        return None
+    expected = (warmup + measure) - report.verify_ns
+    if report.warped_ns != expected:
+        return (
+            f"replayed {report.warped_ns!r} ns, expected {expected!r} ns "
+            f"(warm-up + window - verify slice)"
+        )
+    return None
+
+
 def main():
     measure = float(sys.argv[1]) if len(sys.argv) > 1 else 3_000_000.0
+    warmup = 600_000.0
     failures = 0
     for switch in SWITCHES:
         for shape, build, kwargs, sub_rate in SHAPES:
             for label, rate in [("saturating", None), ("sub-capacity", sub_rate)]:
                 r_off, f_off, w_off = run(
-                    build, switch, False, 600_000.0, measure, rate, kwargs
+                    build, switch, False, warmup, measure, rate, kwargs
                 )
                 r_on, f_on, w_on = run(
-                    build, switch, True, 600_000.0, measure, rate, kwargs
+                    build, switch, True, warmup, measure, rate, kwargs
                 )
                 ident = f_off == f_on
                 same_res = (
@@ -118,7 +136,11 @@ def main():
                 bulk_err = None
                 if engaged and rate is not None and frac < MIN_BULK_FRAC:
                     bulk_err = f"bulk-advanced {frac:.2f} of events (< {MIN_BULK_FRAC})"
-                ok = ident and same_res and engage_err is None and bulk_err is None
+                start_err = check_replay_start(r_on.warp, warmup, measure)
+                ok = (
+                    ident and same_res and engage_err is None
+                    and bulk_err is None and start_err is None
+                )
                 if not ok:
                     failures += 1
                 wr = r_on.warp.describe() if r_on.warp else "none"
@@ -131,6 +153,8 @@ def main():
                     print(f"  ENGAGEMENT: {engage_err}")
                 if bulk_err is not None:
                     print(f"  BULK: {bulk_err}")
+                if start_err is not None:
+                    print(f"  REPLAY START: {start_err}")
                 if not ident:
                     diff(f_off, f_on)
                 if not same_res:
