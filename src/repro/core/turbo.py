@@ -49,9 +49,8 @@ event (fault injections in particular) the next span is re-verified.
 from __future__ import annotations
 
 import types
-from bisect import bisect_left
-from heapq import heapify, heappop, heappush
-from math import inf, nextafter
+from heapq import heappop, heappush
+from math import inf, nextafter, ulp
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import SimulationError
@@ -70,19 +69,18 @@ from repro.vm.apps import GuestL2Fwd, GuestValeBridge, GuestValeXConnect
 if TYPE_CHECKING:
     from repro.scenarios.base import Testbed
 
-#: Turbo algorithm revision (documentation / report surface only: results
-#: are bit-identical to event-by-event execution, so it deliberately does
-#: not participate in campaign cache fingerprints).
-TURBO_VERSION = 2
-
 #: Spans verified by full real dispatch before bulk advance is trusted.
 VERIFY_SPANS = 2
 
-#: Minimum idle polls a span must promise before the bulk path engages;
-#: shorter gaps step one proven-idle poll at a time, or dispatch for real
-#: before verification (the span setup would cost more than the handful
-#: of events it skips).
+#: Minimum idle polls a verification span must promise, so that the
+#: verified spans cover several polls per chain; shorter gaps dispatch
+#: for real until the run is verified.  Trusted spans start on any gap
+#: of at least one poll.
 MIN_SPAN_POLLS = 8
+
+#: Lattice positions are exact below ``2**53`` ulps of the earliest head:
+#: the top of its binade.
+_LATTICE_TOP = 1 << 53
 
 _ITERATE = Core._iterate
 _MethodType = types.MethodType
@@ -131,7 +129,6 @@ def _benign_codes() -> set:
 
 
 _BENIGN = _benign_codes()
-_benign_extras_added = False
 
 
 def _add_lazy_benign() -> None:
@@ -139,19 +136,12 @@ def _add_lazy_benign() -> None:
 
     The resilience timeline sampler only *reads* cumulative counters on a
     bin grid, so its ticks must not trigger re-verification (they fire in
-    every bin of every resilience run).  Imported lazily to avoid a cycle
-    (measure.resilience -> measure.runner -> core.turbo).
+    every bin of every resilience run).  Imported at the call to avoid a
+    cycle (measure.resilience -> measure.runner -> core.turbo).
     """
-    global _benign_extras_added
-    if _benign_extras_added:
-        return
-    _benign_extras_added = True
-    try:
-        from repro.measure.resilience import _TimelineSampler
+    from repro.measure.resilience import _TimelineSampler
 
-        _BENIGN.add(_TimelineSampler._tick.__code__)
-    except Exception:  # pragma: no cover - sampler is optional surface
-        pass
+    _BENIGN.add(_TimelineSampler._tick.__code__)
 
 
 # -- per-core idle predicates -------------------------------------------------
@@ -353,7 +343,7 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> None:
 class _LoopState:
     __slots__ = (
         "verified", "reverify", "dead", "dead_reason",
-        "bulk_events", "bulk_ns", "verify_ns", "spans",
+        "bulk_events", "bulk_ns", "verify_ns",
     )
 
     def __init__(self) -> None:
@@ -364,7 +354,6 @@ class _LoopState:
         self.bulk_events = 0
         self.bulk_ns = 0.0
         self.verify_ns = 0.0
-        self.spans = 0
 
 
 def _advance(chains, bound_t, bound_s, t_end, seq):
@@ -377,6 +366,10 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
     its own delay; everything stops strictly before the first non-chain
     event and before the first poll that reaches its chain's no-op
     deadline (that poll does real work, so it bounds every chain).
+
+    One chain runs the repeated float addition itself; several chains go
+    through the closed-form :func:`_lattice_advance`, and through the
+    k-way :func:`_merge_advance` when the lattice cannot decide.
     """
     if len(chains) == 1:
         # Single chain (p2p/p2v/v2v spans): a pure float-accumulation
@@ -406,71 +399,114 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
         chain[1] = seq + total - 1
         chain[5] += total
         return total, last_t, seq + total
-    result = _advance_tie_free(chains, bound_t, t_end, seq)
+    result = _lattice_advance(chains, bound_t, bound_s, t_end, seq)
     if result is not None:
         return result
     return _merge_advance(chains, bound_t, bound_s, t_end, seq)
 
 
-def _advance_tie_free(chains, bound_t, t_end, seq):
-    """Multi-chain advance in plain time order, or None if a tie decides.
+def _lattice_advance(chains, bound_t, bound_s, t_end, seq):
+    """Closed-form multi-chain advance, or None when it cannot decide.
 
-    Each chain's polls come from the same repeated addition, generated
-    up to ``min(bound_t, t_end)`` and its own deadline.  The stop time
-    ``S`` is the earliest of ``bound_t`` and every chain's first poll at
-    or past its deadline.  When no two polls below ``S`` share a time and
-    none sits exactly at ``S``, the merge's ``(time, seq)`` order is time
-    order, so every poll below ``S`` fires and a chain's re-arm seq is
-    ``seq`` plus the merged rank of its last poll.  Otherwise the seqs
-    decide and the caller falls back to :func:`_merge_advance`; the rows
-    are untouched until the tie-free order is known to hold.
+    Same contract as :func:`_merge_advance` (``seq`` exceeds every row's
+    seq and ``bound_s``, as the engine's next seq does); on None the rows
+    are untouched.  Inside the binade of the earliest head ``t_lo`` every
+    float is an integer multiple of ``u = ulp(t_lo)``, and ``t + d``
+    below the binade top rounds to ``t + M*u`` with ``M = round(d / u)``
+    (unless ``d / u`` is an odd multiple of one half: ties-to-even would
+    make the step depend on the parity of ``t``).  So chains sharing one
+    delay poll at integer *positions* ``n, n+M, n+2M, ...`` with
+    ``n = t/u``, exact below ``2**53``; ``t_end``, ``bound_t`` and the
+    deadlines are floats at or above ``t_lo``, hence exact positions too.
+
+    Each chain's first poll that may not fire (past ``t_end``, at or past
+    its deadline, or not before the bound) is ranked by position and
+    then by ``(-n, seq)``: at a shared grid point a chain that joined the
+    grid later still carries its original heap seq, below every seq the
+    span hands out, and chains with equal heads keep their seq order; the
+    same order repeats at every later shared point.  The earliest such
+    poll ``S`` stops the span: every poll before it fires, and each fired
+    chain's last poll lies in ``[S - M, S]``, so the last ``f`` seqs go
+    to the ``f`` fired chains in ``(last position, -n, seq)`` order.
     """
-    lim = bound_t if bound_t < t_end else t_end
-    stop = bound_t
-    runs = []
+    delay = chains[0][4]
+    t_lo = inf
     for chain in chains:
         t = chain[0]
-        delay = chain[4]
-        deadline = chain[6]
-        # Polls past the running stop estimate can never fire; one at it
-        # is kept so the tie test below sees it.
-        cap = lim if lim < stop else stop
-        times = []
-        append = times.append
-        if deadline > cap:
-            while t <= cap:
-                append(t)
-                t += delay
-        else:
-            while t < deadline:
-                append(t)
-                t += delay
-            if t < stop:
-                stop = t  # this chain's first poll past its deadline
-        runs.append((times, t))
-    merged = []
-    cuts = []
-    for times, _next in runs:
-        cut = bisect_left(times, stop)
-        if cut < len(times):
-            if times[cut] == stop:
-                return None  # a poll at S: its seq decides
-            merged += times[:cut]
-        else:
-            merged += times
-        cuts.append(cut)
-    total = len(merged)
+        if chain[4] != delay or chain[6] <= t:
+            return None
+        if t < t_lo:
+            t_lo = t
+    if not 0.0 < delay < t_lo or bound_t < t_lo or t_end < t_lo:
+        return None
+    u = ulp(t_lo)
+    ratio = delay / u  # exact: u is a power of two
+    step = int(ratio)
+    frac = ratio - step
+    if frac == 0.5:
+        return None
+    if frac > 0.5:
+        step += 1
+    if not step:
+        return None  # the re-arm would round back onto its own poll
+    top = _LATTICE_TOP
+    # A poll fires only below every threshold: one past t_end, the
+    # deadline, and the bound (one past it for a head at the bound with
+    # a seq below the bound's).  Positions at or past the binade top
+    # collapse to it: a stop there declines, and nothing below it
+    # depends on how far past the top they lie.
+    past_end = t_end / u
+    past_end = int(past_end) + 1 if past_end < top else top
+    bound = bound_t / u
+    bound = int(bound) if bound < top else top
+    stop = top
+    stop_n = stop_s = -1
+    heads = []
+    for chain in chains:
+        n = chain[0] / u
+        if n >= top:
+            return None  # a head outside the earliest head's binade
+        n = int(n)
+        s = chain[1]
+        limit = chain[6] / u
+        limit = int(limit) if limit < top else top
+        if past_end < limit:
+            limit = past_end
+        cap = bound + 1 if n == bound and s < bound_s else bound
+        if cap < limit:
+            limit = cap
+        # The chain's first poll at or past its threshold may not fire.
+        first = n + (limit - n + step - 1) // step * step if limit > n else n
+        if first < stop or (
+            first == stop and (n > stop_n or (n == stop_n and s < stop_s))
+        ):
+            stop, stop_n, stop_s = first, n, s
+        heads.append(n)
+    if stop >= top:
+        return None  # the span reaches the binade top
+    fired = []
+    total = 0
+    for chain, n in zip(chains, heads):
+        if n > stop:
+            continue
+        count, rest = divmod(stop - n, step)
+        # Every poll below the stop fires; one at the stop fires when its
+        # chain's (-n, seq) sorts before the stopper's.
+        if rest or n > stop_n or (n == stop_n and chain[1] < stop_s):
+            count += 1
+        if count:
+            total += count
+            fired.append((n + (count - 1) * step, -n, chain[1], count, chain))
     if not total:
         return 0, None, seq
-    merged.sort()
-    if len(set(merged)) != total:
-        return None  # two chains poll at one time: their seqs decide
-    for chain, (times, t), cut in zip(chains, runs, cuts):
-        if cut:
-            chain[0] = times[cut] if cut < len(times) else t
-            chain[1] = seq + bisect_left(merged, times[cut - 1])
-            chain[5] += cut
-    return total, merged[-1], seq + total
+    fired.sort()
+    next_seq = seq + total - len(fired)
+    for last, _n, _s, count, chain in fired:
+        chain[0] = last * u + delay
+        chain[1] = next_seq
+        chain[5] += count
+        next_seq += 1
+    return total, fired[-1][0] * u, next_seq
 
 
 def _merge_advance(chains, bound_t, bound_s, t_end, seq):
@@ -499,10 +535,16 @@ def _merge_advance(chains, bound_t, bound_s, t_end, seq):
     return total, last_t, seq
 
 
-def _scan_horizon(queue, profiles) -> float:
-    """Earliest pending event that is not an eligible idle chain poll."""
-    horizon = inf
+_NO_HORIZON = (inf, 0)
+
+
+def _scan_horizon(queue, profiles) -> tuple:
+    """``(time, seq)`` of the earliest pending entry that is not an idle
+    chain poll, or ``(inf, 0)`` when every entry is one."""
+    horizon = _NO_HORIZON
     for entry in queue:
+        if entry >= horizon:
+            continue
         ecb = entry[2]
         if ecb.__class__ is _MethodType and ecb.__func__ is _ITERATE:
             ecore = ecb.__self__
@@ -513,8 +555,7 @@ def _scan_horizon(queue, profiles) -> float:
                 profiles[key] = eprofile
             if eprofile is not None and eprofile.deadline() > entry[0]:
                 continue
-        if entry[0] < horizon:
-            horizon = entry[0]
+        horizon = (entry[0], entry[1])
     return horizon
 
 
@@ -523,7 +564,9 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
 
     Replaces the caller's dispatch loop (the caller's ``run_until(t_end)``
     afterwards only clamps the clock).  Returns a :class:`WarpReport` with
-    ``mode="turbo"``; on decline the simulator has not been touched.
+    ``mode="turbo"``.  An eligibility decline returns before the
+    simulator is touched; a ``verify-mismatch`` decline has already run
+    to ``t_end`` by real dispatch, which produced the exact state.
     """
     try:
         _eligibility(tb, watchdog_active)
@@ -535,8 +578,7 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
     # Profile every core upfront (the core set and the profile inputs are
     # fixed for the duration of a drive -- the per-drive cache below
     # already relies on that).  With no chain-eligible core there is
-    # nothing to advance; knowing there is exactly one lets the solo fast
-    # path skip its per-span queue scan.
+    # nothing to advance.
     profiles: dict[int, _Profile | None] = {}
     n_eligible = 0
     for node in tb.machine.nodes:
@@ -554,15 +596,15 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
             return WarpReport(engaged=False, reason="pipeline-switch", mode="turbo")
         if sw.params.interrupt_driven:
             return WarpReport(engaged=False, reason="interrupt-driven", mode="turbo")
-    solo_core = n_eligible == 1
     _add_lazy_benign()
     st = _LoopState()
-    # Cached time of the earliest pending event that is *not* an idle
-    # chain poll.  Only dispatched callbacks can schedule new events, so
-    # the cache stays valid until a non-chain callback (or a busy poll)
-    # runs; it lets the hot loop skip span setup for the short idle gaps
-    # that pepper saturated stretches.
-    horizon_t = None
+    # Cached ``(time, seq)`` of the earliest pending entry that is *not*
+    # an idle chain poll.  Only dispatched callbacks can schedule new
+    # events, so the cache stays valid until a non-chain callback (or a
+    # busy poll) runs; it lets the hot loop skip span setup for the short
+    # idle gaps that pepper saturated stretches.  Spans never trust it
+    # for exactness: a stale horizon only makes them stop earlier.
+    horizon = None
     sim._running = True
     try:
         queue = sim._queue
@@ -577,76 +619,59 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
                     profiles[key] = profile
                 if profile is not None and not st.dead:
                     delay = core._idle_cache[1] or _chain_delay(core)
-                    if horizon_t is None:
-                        horizon_t = _scan_horizon(queue, profiles)
+                    if horizon is None:
+                        horizon = _scan_horizon(queue, profiles)
                     deadline = profile.deadline()
-                    limit = horizon_t if horizon_t < deadline else deadline
-                    if limit - t >= delay * MIN_SPAN_POLLS:
-                        if st.verified >= VERIFY_SPANS and not st.reverify:
-                            # Solo-chain fast path: when no *other*
-                            # eligible idle chain is pending (the common
-                            # p2p/p2v shape -- one run-to-completion
-                            # core), the k-way merge in _bulk_span
-                            # degenerates to a single float-accumulation
-                            # loop, so run it inline: no chain rows, no
-                            # queue rebuild, no heapify.  The float ops,
-                            # stop rule and seq assignment are exactly
-                            # _advance's single-chain case.
-                            solo = solo_core
-                            if not solo:
-                                solo = True
-                                for entry in queue:
-                                    ecb = entry[2]
-                                    if (
-                                        ecb.__class__ is _MethodType
-                                        and ecb.__func__ is _ITERATE
-                                    ):
-                                        eid = id(ecb.__self__)
-                                        eprofile = profiles.get(eid, False)
-                                        if eprofile is False:
-                                            eprofile = _core_profile(ecb.__self__)
-                                            profiles[eid] = eprofile
-                                        if eprofile is not None:
-                                            solo = False
-                                            break
-                            if solo:
-                                delay = _chain_delay(core)
-                                bound_t = queue[0][0] if queue else inf
-                                stop = bound_t if bound_t < deadline else deadline
-                                total = 0
-                                last_t = tt = t
-                                while True:
-                                    total += 1
-                                    last_t = tt
-                                    tt += delay
-                                    if tt >= stop or tt > t_end:
-                                        break
-                                seq = sim._seq
-                                sim._seq = seq + total
-                                sim.events_executed += total
-                                sim._now = last_t
-                                core._idle_streak += total
-                                heappush(queue, (tt, seq + total - 1, cb))
-                                st.spans += 1
-                                st.bulk_events += total
-                                st.bulk_ns += last_t - t
+                    limit = horizon[0] if horizon[0] < deadline else deadline
+                    if st.verified >= VERIFY_SPANS and not st.reverify:
+                        if limit - t >= delay:
+                            if queue and queue[0] < horizon:
+                                _span(sim, queue, t, s, cb, core, deadline,
+                                      horizon, profiles, t_end, st)
                                 continue
-                        _bulk_span(sim, queue, t, s, cb, core, deadline,
-                                   _chain_delay(core), profiles, t_end, st)
-                        if st.verified <= VERIFY_SPANS:
-                            horizon_t = None
-                        continue
-                    if deadline > t and st.verified >= VERIFY_SPANS and not st.reverify:
-                        # Short gap, but this poll is provably a no-op:
-                        # apply its register updates as a one-poll span
-                        # instead of running the tasks' polls.
-                        sim._now = t
-                        sim.events_executed += 1
-                        core._idle_streak += 1
-                        seq = sim._seq
-                        heappush(queue, (t + _chain_delay(core), seq, cb))
-                        sim._seq = seq + 1
-                        st.bulk_events += 1
+                            # Solo span: the queue head does not precede
+                            # the horizon, so no other chain can fire
+                            # before it.  Run the single-chain float loop
+                            # inline, with the queue head as the bound: the
+                            # float ops, stop rule and seq assignment are
+                            # exactly _advance's single-chain case.
+                            delay = _chain_delay(core)
+                            bound_t = queue[0][0] if queue else inf
+                            stop = bound_t if bound_t < deadline else deadline
+                            total = 0
+                            last_t = tt = t
+                            while True:
+                                total += 1
+                                last_t = tt
+                                tt += delay
+                                if tt >= stop or tt > t_end:
+                                    break
+                            seq = sim._seq
+                            sim._seq = seq + total
+                            sim.events_executed += total
+                            sim._now = last_t
+                            core._idle_streak += total
+                            heappush(queue, (tt, seq + total - 1, cb))
+                            st.bulk_events += total
+                            st.bulk_ns += last_t - t
+                            continue
+                        if deadline > t:
+                            # Gap shorter than one poll, but this poll is
+                            # provably a no-op: apply its register updates
+                            # as a one-poll span instead of running the
+                            # tasks' polls.
+                            sim._now = t
+                            sim.events_executed += 1
+                            core._idle_streak += 1
+                            seq = sim._seq
+                            heappush(queue, (t + _chain_delay(core), seq, cb))
+                            sim._seq = seq + 1
+                            st.bulk_events += 1
+                            continue
+                    elif limit - t >= delay * MIN_SPAN_POLLS:
+                        _span(sim, queue, t, s, cb, core, deadline,
+                              horizon, profiles, t_end, st)
+                        horizon = None
                         continue
                     # Short gap: dispatch for real.  An idle poll only
                     # re-arms itself, so the horizon survives unless the
@@ -656,19 +681,19 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
                     cb()
                     sim.events_executed += 1
                     if core.busy_ns != busy0:
-                        horizon_t = None
+                        horizon = None
                     continue
                 sim._now = t
                 cb()
                 sim.events_executed += 1
-                horizon_t = None
+                horizon = None
                 continue
             if not st.dead and getattr(cb, "__code__", None) not in _BENIGN:
                 st.reverify = True
             sim._now = t
             cb()
             sim.events_executed += 1
-            horizon_t = None
+            horizon = None
     finally:
         sim._running = False
 
@@ -686,40 +711,44 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
     )
 
 
-def _bulk_span(sim, queue, t0, s0, cb0, core0, deadline0, delay0, profiles, t_end, st):
-    """Advance every currently-idle chain from ``t0`` to the next event."""
-    chains = [[t0, s0, cb0, core0, delay0, 0, deadline0]]
-    if queue:
-        kept = []
-        moved = False
-        for entry in queue:
-            ecb = entry[2]
-            if ecb.__class__ is _MethodType and ecb.__func__ is _ITERATE:
-                ecore = ecb.__self__
-                key = id(ecore)
-                eprofile = profiles.get(key, False)
-                if eprofile is False:
-                    eprofile = _core_profile(ecore)
-                    profiles[key] = eprofile
-                if eprofile is not None:
-                    edeadline = eprofile.deadline()
-                    if edeadline > entry[0]:
-                        chains.append(
-                            [entry[0], entry[1], ecb, ecore,
-                             _chain_delay(ecore), 0, edeadline]
-                        )
-                        moved = True
-                        continue
-            kept.append(entry)
-        if moved:
-            queue[:] = kept
-            heapify(queue)
+def _span(sim, queue, t0, s0, cb0, core0, deadline0, horizon, profiles, t_end, st):
+    """Advance every idle chain from the popped poll at ``t0`` to the next event.
+
+    The chains come off the heap head: each head that precedes the
+    ``horizon`` entry joins while it is still an idle chain poll (an
+    ``_iterate`` of a profiled core whose fresh deadline lies above the
+    head's time: the horizon survives idle real dispatch, and a re-arm
+    that landed at or past its deadline is real work).  The first head
+    that fails stops the gather and bounds the span.
+    """
+    chains = [[t0, s0, cb0, core0, _chain_delay(core0), 0, deadline0]]
+    while queue:
+        entry = queue[0]
+        if entry >= horizon:
+            break
+        ecb = entry[2]
+        if ecb.__class__ is not _MethodType or ecb.__func__ is not _ITERATE:
+            break
+        ecore = ecb.__self__
+        key = id(ecore)
+        eprofile = profiles.get(key, False)
+        if eprofile is False:
+            eprofile = _core_profile(ecore)
+            profiles[key] = eprofile
+        if eprofile is None:
+            break
+        edeadline = eprofile.deadline()
+        if edeadline <= entry[0]:
+            break
+        heappop(queue)
+        chains.append(
+            [entry[0], entry[1], ecb, ecore, _chain_delay(ecore), 0, edeadline]
+        )
     if queue:
         bound_t, bound_s = queue[0][0], queue[0][1]
     else:
         bound_t, bound_s = inf, 0
 
-    st.spans += 1
     if st.verified >= VERIFY_SPANS and not st.reverify:
         total, last_t, seq = _advance(chains, bound_t, bound_s, t_end, sim._seq)
         sim._seq = seq

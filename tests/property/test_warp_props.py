@@ -19,22 +19,27 @@ reproduce:
    warping the inter-fault stretches reproduces the event-exact
    degradation timeline and recovery metrics bit-for-bit, for sampled
    fault instants and durations.
-5. **Tie-free chain advance** -- the turbo's time-ordered multi-chain
+5. **Lattice chain advance** -- the turbo's closed-form multi-chain
    advance either declines (leaving the chain rows untouched) or returns
    exactly what the k-way ``(time, seq)`` merge returns and leaves the
-   same rows, across chains on shared and independent poll grids, bounds
-   and deadlines that land exactly on polls, and ``t_end`` cuts.
+   same rows, across lock-step groups and independent poll grids, bounds
+   at chain heads, deadlines at or below heads, ``t_end`` cuts on polls,
+   heads just below a power of two and half-ulp delays; and it decides
+   every span whose polls stay inside one binade.
+
+Contract 2 also runs on loopback chains of 1-5 VNFs on every switch,
+where VNF cores poll in lock-step groups and spans gather 4-6 chains.
 """
 
 from __future__ import annotations
 
-from math import inf
+from math import inf, nextafter
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.fluid import fluid_tolerance
-from repro.core.turbo import _advance, _advance_tie_free, _merge_advance
+from repro.core.turbo import _advance, _lattice_advance, _merge_advance
 from repro.core.units import line_rate_pps
 from repro.core.warp import state_fingerprint
 from repro.measure.runner import drive
@@ -50,6 +55,7 @@ SHAPES = {
 }
 
 EXACT_SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s"]
+ALL_SWITCHES = EXACT_SWITCHES + ["snabb", "vale"]
 
 
 class TestReplayInvariance:
@@ -109,6 +115,40 @@ class TestTurboInvariance:
         r_off, f_off = run(False)
         r_on, f_on = run(True)
         assert r_on.warp is not None and r_on.warp.engaged
+        assert f_off == f_on
+        assert [repr(v) for v in r_off.per_direction_gbps] == [
+            repr(v) for v in r_on.per_direction_gbps
+        ]
+        assert r_off.events == r_on.events
+
+
+class TestChainTurboInvariance:
+    @seed(20261017)
+    @settings(max_examples=8, deadline=None)
+    @given(
+        switch=st.sampled_from(ALL_SWITCHES),
+        n_vnfs=st.integers(min_value=1, max_value=5),
+        saturating=st.booleans(),
+        rate_frac=st.floats(min_value=0.0, max_value=1.0),
+        run_seed=st.integers(min_value=1, max_value=1_000_000),
+    )
+    def test_warp_on_matches_warp_off(self, switch, n_vnfs, saturating, rate_frac, run_seed):
+        if switch == "bess":
+            n_vnfs = min(n_vnfs, 3)  # BESS hosts at most three VNFs
+        # Sub-capacity: below every switch's 5-VNF capacity.
+        rate = None if saturating else 0.05e6 + rate_frac * 0.2e6
+
+        def run(warp):
+            tb = loopback.build(
+                switch, frame_size=64, rate_pps=rate, seed=run_seed, n_vnfs=n_vnfs
+            )
+            res = drive(tb, warmup_ns=1e5, measure_ns=5e5, warp=warp)
+            return res, state_fingerprint(tb)
+
+        r_off, f_off = run(False)
+        r_on, f_on = run(True)
+        assert r_on.warp is not None and r_on.warp.engaged
+        assert r_on.warp.mode == "turbo"
         assert f_off == f_on
         assert [repr(v) for v in r_off.per_direction_gbps] == [
             repr(v) for v in r_on.per_direction_gbps
@@ -191,26 +231,60 @@ def _poll_after(t, delay, steps):
     return t
 
 
+#: An odd multiple of one half ulp for heads in ``[2**20, 2**21)``
+#: (ulp ``2**-32``): ties-to-even makes its step depend on each poll's
+#: parity, so the lattice must decline it.
+_HALF_ULP_DELAY = 30 + 2.0 ** -33
+
+
+def _grid_rows(draw, n, origin, delay, layout, seqs):
+    """``n`` chain rows starting near ``origin``.
+
+    ``grid``: every chain on one poll grid, a few re-arms apart;
+    ``groups``: lock-step groups of 2-4 chains, each group on its own
+    grid; ``free``: independent heads and delays.
+    """
+    rows = []
+    while len(rows) < n:
+        if layout == "free":
+            delay_i = draw(st.sampled_from(_DELAYS))
+            t = origin + draw(st.floats(min_value=0.0, max_value=2 * delay_i))
+            rows.append([t, seqs[len(rows)], None, None, delay_i, 0, inf])
+            continue
+        if layout == "grid":
+            size, start = n, origin
+        else:
+            size = min(draw(st.integers(min_value=2, max_value=4)), n - len(rows))
+            start = origin + draw(st.floats(min_value=0.0, max_value=2 * delay))
+        for _ in range(size):
+            t = _poll_after(start, delay, draw(st.integers(0, 3)))
+            rows.append([t, seqs[len(rows)], None, None, delay, 0, inf])
+    return rows
+
+
+def _even_seqs(draw, n):
+    """Distinct even heap seqs, leaving an odd seq on either side of each."""
+    values = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    return [2 * value for value in values]
+
+
 @st.composite
 def _chain_spans(draw):
     """Chain rows plus ``(bound_t, bound_s, t_end, seq)`` for one span."""
     n = draw(st.integers(min_value=2, max_value=6))
-    origin = draw(st.floats(min_value=0.0, max_value=1e7))
-    shared = draw(st.booleans())
-    grid_delay = draw(st.sampled_from(_DELAYS))
-    seqs = draw(
-        st.lists(st.integers(0, 10_000), min_size=n + 1, max_size=n + 1, unique=True)
-    )
-    rows = []
-    for index in range(n):
-        if shared:
-            # One poll grid, chains a few re-arms apart: every pair ties.
-            delay = grid_delay
-            t = _poll_after(origin, delay, draw(st.integers(0, 3)))
-        else:
-            delay = draw(st.sampled_from(_DELAYS))
-            t = origin + draw(st.floats(min_value=0.0, max_value=2 * delay))
-        rows.append([t, seqs[index], None, None, delay, 0, inf])
+    delay = draw(st.sampled_from(_DELAYS))
+    where = draw(st.sampled_from(("anywhere", "below-power-of-two", "half-ulp")))
+    if where == "anywhere":
+        origin = draw(st.floats(min_value=0.0, max_value=1e7))
+    elif where == "below-power-of-two":
+        power = 2.0 ** draw(st.integers(min_value=17, max_value=40))
+        origin = power - draw(st.floats(min_value=0.0, max_value=8 * delay))
+    else:
+        delay = _HALF_ULP_DELAY
+        origin = draw(st.floats(min_value=2.0**20, max_value=2.0**21 - 4096.0))
+    layout = draw(st.sampled_from(("grid", "groups", "free")))
+    seqs = _even_seqs(draw, n)
+    rows = _grid_rows(draw, n, origin, delay, layout, seqs)
     span = 60 * min(row[4] for row in rows)
 
     def some_poll():
@@ -218,23 +292,75 @@ def _chain_spans(draw):
         steps = draw(st.one_of(st.just(0), st.integers(0, int(span / row[4]) + 1)))
         return _poll_after(row[0], row[4], steps)
 
-    def some_time(kinds):
+    def some_time(kinds, row=None):
         kind = draw(st.sampled_from(kinds))
         if kind == "poll":
             return some_poll()
         if kind == "free":
             return origin + draw(st.floats(min_value=0.0, max_value=span))
+        if kind == "head":
+            return draw(st.sampled_from(rows))[0]
+        if kind == "below":
+            return row[0] - draw(st.floats(min_value=0.0, max_value=row[4]))
         return inf
 
     for row in rows:
-        # A poll time of its own chain or another one's.
-        row[6] = some_time(("none", "poll", "free"))
-    bound_t = some_time(("none", "poll", "free"))
-    t_end = some_time(("poll", "free"))
-    return rows, bound_t, seqs[-1], t_end, max(seqs) + 1
+        # A poll time of its own chain or another one's, a head, or a
+        # deadline at or below the chain's own head.
+        row[6] = some_time(("none", "poll", "free", "head", "below"), row)
+    bound_s = 2 * draw(st.integers(0, 10_000)) + 1
+    if draw(st.booleans()):
+        # The bound exactly at a head, its seq just below or above.
+        head = draw(st.sampled_from(rows))
+        bound_t = head[0]
+        bound_s = head[1] + draw(st.sampled_from((-1, 1)))
+    else:
+        bound_t = some_time(("none", "poll", "free"))
+    t_end = some_time(("poll", "free", "head"))
+    return rows, bound_t, bound_s, t_end, max(seqs + [bound_s]) + 1
 
 
-class TestTieFreeAdvance:
+@st.composite
+def _lattice_spans(draw):
+    """Spans the lattice must decide: one delay, every poll up to the
+    stop inside one binade, deadlines above their heads."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    delay = draw(st.sampled_from(_DELAYS))
+    # Binades from 2**19: wide enough for 80 polls of every delay, and
+    # clear of the one binade per delay where it is an odd multiple of
+    # one half ulp (2**5, 2**6, 2**15 and 2**57).
+    low = 2.0 ** draw(st.integers(min_value=19, max_value=50))
+    origin = draw(st.floats(min_value=low, max_value=2 * low - 80 * delay))
+    layout = draw(st.sampled_from(("grid", "groups")))
+    seqs = _even_seqs(draw, n)
+    rows = _grid_rows(draw, n, origin, delay, layout, seqs)
+    t_lo = min(row[0] for row in rows)
+
+    def some_time(kinds, row=None):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "poll":
+            row = row or draw(st.sampled_from(rows))
+            return _poll_after(row[0], delay, draw(st.integers(1, 60)))
+        if kind == "free":
+            return t_lo + draw(st.floats(min_value=0.0, max_value=60 * delay))
+        if kind == "head":
+            return draw(st.sampled_from(rows))[0]
+        if kind == "after":
+            gap = draw(st.floats(min_value=0.0, max_value=60 * delay))
+            return nextafter(row[0] + gap, inf)
+        return inf
+
+    for row in rows:
+        row[6] = some_time(("none", "poll", "after"), row)
+    bound_s = 2 * draw(st.integers(0, 10_000)) + 1
+    bound_t = some_time(("none", "poll", "free", "head"))
+    # t_end ends the span before the binade top: the first poll past it
+    # lies at most one delay further.
+    t_end = some_time(("poll", "free", "head"))
+    return rows, bound_t, bound_s, t_end, max(seqs + [bound_s]) + 1
+
+
+class TestLatticeAdvance:
     @seed(20261017)
     @settings(max_examples=300, deadline=None)
     @given(case=_chain_spans())
@@ -243,7 +369,7 @@ class TestTieFreeAdvance:
         ref = [list(row) for row in rows]
         expected = _merge_advance(ref, bound_t, bound_s, t_end, seq)
         fast = [list(row) for row in rows]
-        result = _advance_tie_free(fast, bound_t, t_end, seq)
+        result = _lattice_advance(fast, bound_t, bound_s, t_end, seq)
         if result is None:
             assert fast == rows
         else:
@@ -252,3 +378,14 @@ class TestTieFreeAdvance:
         rows_out = [list(row) for row in rows]
         assert _advance(rows_out, bound_t, bound_s, t_end, seq) == expected
         assert rows_out == ref
+
+    @seed(20261017)
+    @settings(max_examples=150, deadline=None)
+    @given(case=_lattice_spans())
+    def test_decides_spans_inside_one_binade(self, case):
+        rows, bound_t, bound_s, t_end, seq = case
+        ref = [list(row) for row in rows]
+        expected = _merge_advance(ref, bound_t, bound_s, t_end, seq)
+        fast = [list(row) for row in rows]
+        assert _lattice_advance(fast, bound_t, bound_s, t_end, seq) == expected
+        assert fast == ref

@@ -14,9 +14,11 @@ import pytest
 
 from repro.core.packet import Packet
 from repro.core.turbo import (
-    _advance_tie_free,
+    _BENIGN,
+    _advance,
     _first_due,
     _l2fwd_check,
+    _lattice_advance,
     _merge_advance,
     _switch_check,
     turbo_drive,
@@ -175,21 +177,81 @@ def test_switch_check_deadline_follows_the_tx_drain_timer():
     assert check() == -inf  # FastClick pops any batch at once
 
 
-def test_tie_free_advance_fires_in_time_order():
-    """Chains off each other's grid take the time-ordered path; the
-    property suite compares both paths with the merge on drawn spans."""
-    d = 30.76923076923077
-    # Rows are [t, seq, cb, core, delay, fired, deadline].
-    rows = [
-        [1000.0, 5, None, None, d, 0, inf],
-        [1010.0, 3, None, None, d, 0, inf],
-        [1020.0, 9, None, None, d, 0, 1400.0],
+_D = 30.76923076923077
+
+
+def _three_chains(shift=0.0):
+    """Three chains off each other's grid; rows are
+    ``[t, seq, cb, core, delay, fired, deadline]``."""
+    return [
+        [1000.0 + shift, 5, None, None, _D, 0, inf],
+        [1010.0 + shift, 3, None, None, _D, 0, inf],
+        [1020.0 + shift, 9, None, None, _D, 0, 1400.0 + shift],
     ]
+
+
+def _assert_lattice(rows, bound_t, bound_s, t_end, seq, decides):
+    """The lattice decides (and equals the merge) or declines (rows
+    untouched); ``_advance`` always equals the merge."""
     ref = [list(row) for row in rows]
-    expected = _merge_advance(ref, 1500.0, 2, 2000.0, 100)
+    expected = _merge_advance(ref, bound_t, bound_s, t_end, seq)
+    fast = [list(row) for row in rows]
+    result = _lattice_advance(fast, bound_t, bound_s, t_end, seq)
+    if decides:
+        assert result == expected
+        assert fast == ref
+    else:
+        assert result is None
+        assert fast == rows
+    out = [list(row) for row in rows]
+    assert _advance(out, bound_t, bound_s, t_end, seq) == expected
+    assert out == ref
+    return expected
+
+
+def test_lattice_declines_a_span_across_a_power_of_two():
+    """Polls from 1000 ns up to 1400 ns cross 1024 ns, where the ulp
+    doubles; the merge takes the span."""
+    expected = _assert_lattice(_three_chains(), 1500.0, 2, 2000.0, 100, decides=False)
     assert expected[0] > 0
-    assert _advance_tie_free(rows, 1500.0, 2000.0, 100) == expected
-    assert rows == ref
+
+
+def test_lattice_advance_equals_the_merge_inside_one_binade():
+    expected = _assert_lattice(
+        _three_chains(100.0), 1600.0, 2, 2100.0, 100, decides=True
+    )
+    assert expected[0] > 3
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["mixed-delays", "half-ulp-delay", "deadline-at-head", "deadline-below-head"],
+)
+def test_lattice_declines(case):
+    rows = _three_chains(100.0)
+    if case == "mixed-delays":
+        rows[1][4] = 16.0
+    elif case == "half-ulp-delay":
+        # ulp is 2**-32 in [2**20, 2**21): the step is an odd multiple
+        # of one half ulp, so ties-to-even depends on each poll's parity.
+        for row in rows:
+            row[0] += 2.0 ** 20
+            row[4] = 30 + 2.0 ** -33
+            row[6] = inf
+    elif case == "deadline-at-head":
+        rows[0][6] = rows[0][0]
+    else:
+        rows[2][6] = rows[2][0] - 1.0
+    offset = rows[0][0] - 1100.0
+    _assert_lattice(rows, 1600.0 + offset, 2, 2100.0 + offset, 100, decides=False)
+
+
+def test_turbo_registers_the_timeline_sampler_as_benign():
+    from repro.measure.resilience import _TimelineSampler
+
+    tb = p2p.build("vpp", frame_size=64, seed=1, bidirectional=True)
+    assert turbo_drive(tb, 2e5).engaged
+    assert _TimelineSampler._tick.__code__ in _BENIGN
 
 
 def test_declines_on_pipeline_switch():

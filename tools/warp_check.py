@@ -1,8 +1,9 @@
 """Dev harness: warp-on vs warp-off bit-identity across the shape matrix.
 
 Sweeps every switch over the fast-forward-eligible scenario shapes --
-unidirectional and bidirectional p2p, p2v, v2v and a loopback VNF chain
--- under saturating and sub-capacity input, and asserts per cell that
+unidirectional and bidirectional p2p, p2v, v2v and loopback VNF chains
+of 2 and 3 VNFs -- under saturating and sub-capacity input (84 cells:
+7 switches x 6 shapes x 2 rates), and asserts per cell that
 
 * the end-state fingerprint (every counter, timestamp, stats accumulator
   and RNG stream; :func:`repro.core.warp.state_fingerprint`) and the
@@ -53,13 +54,16 @@ MIN_BULK_FRAC = 0.5
 
 #: (label, builder, build kwargs, sub-capacity rate in pps).  Rates sit
 #: at roughly 0.3x the slowest switch's capacity for the shape so the
-#: sub-capacity cell is idle-dominated for every switch.
+#: sub-capacity cell is idle-dominated for every switch.  Three VNFs is
+#: the longest chain BESS hosts: four chains whose VNF cores share one
+#: poll grid.
 SHAPES = [
     ("p2p", p2p.build, {}, 3_000_000.0),
     ("p2p-bidi", p2p.build, {"bidirectional": True}, 2_000_000.0),
     ("p2v", p2v.build, {}, 1_000_000.0),
     ("v2v", v2v.build, {}, 800_000.0),
     ("loopback", loopback.build, {"n_vnfs": 2}, 500_000.0),
+    ("loopback-3", loopback.build, {"n_vnfs": 3}, 350_000.0),
 ]
 
 
@@ -145,7 +149,7 @@ def main():
                     failures += 1
                 wr = r_on.warp.describe() if r_on.warp else "none"
                 print(
-                    f"{'OK ' if ok else 'FAIL'} {switch:10s} {shape:9s} "
+                    f"{'OK ' if ok else 'FAIL'} {switch:10s} {shape:10s} "
                     f"{label:12s} off={w_off:6.3f}s on={w_on:6.3f}s "
                     f"x{w_off / w_on:5.2f} bulk={frac:4.2f}  {wr}"
                 )
