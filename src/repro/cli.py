@@ -72,13 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fluid", action=argparse.BooleanOptionalAction, default=None,
         help="fluid tier: rate-based extrapolation for long horizons "
-        "(default: REPRO_FLUID env, off); approximate within "
-        "--fluid-tolerance, changes campaign cache keys",
-    )
-    parser.add_argument(
-        "--fluid-tolerance", type=float, default=None, metavar="REL",
-        help="declared max relative error for --fluid (default: "
-        "REPRO_FLUID_TOLERANCE env, 0.05)",
+        "(default: REPRO_FLUID env, off); approximate within 5%%, "
+        "changes campaign cache keys",
     )
     parser.add_argument(
         "--warmup-ns", type=float, default=None, metavar="NS",
@@ -321,8 +316,6 @@ def _flag_error(args, parser) -> tuple[int, str] | None:
 
         if args.size_mix not in PROFILES:
             return 1, f"unknown --size-mix {args.size_mix!r}; known: {sorted(PROFILES)}"
-    if args.fluid_tolerance is not None and args.fluid_tolerance <= 0:
-        return 1, "--fluid-tolerance must be positive"
     unread = _unread_flag(args, parser, _FLAG_COMMANDS, args.scenario)
     if unread is not None:
         flag, readers = unread
@@ -352,7 +345,7 @@ def _flag_error(args, parser) -> tuple[int, str] | None:
 
 
 def _engine_env(args) -> dict[str, str]:
-    """Environment overrides for --warp/--fluid/--fluid-tolerance.
+    """Environment overrides for --warp/--fluid.
 
     The engine switches travel through the environment, so every
     execution path (single runs, sweeps, campaign workers under fork or
@@ -364,8 +357,6 @@ def _engine_env(args) -> dict[str, str]:
         env["REPRO_WARP"] = "1" if args.warp else "0"
     if args.fluid is not None:
         env["REPRO_FLUID"] = "1" if args.fluid else "0"
-    if args.fluid_tolerance is not None:
-        env["REPRO_FLUID_TOLERANCE"] = repr(args.fluid_tolerance)
     return env
 
 

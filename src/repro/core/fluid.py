@@ -16,19 +16,22 @@ their folded cost is already inside the measured rate.
 Fluid mode is **opt-in** (``REPRO_FLUID=1`` or ``--fluid``) and carries
 its own validation tier: ``tools/fluid_check.py`` A/B-compares fluid
 against exact mode on a switch grid and CI gates the relative error at
-the declared tolerance (``REPRO_FLUID_TOLERANCE``, default 5%).  When
-enabled it joins the campaign cache fingerprint (via
+the declared tolerance (:data:`FLUID_TOLERANCE`, 5%).  When enabled it
+joins the campaign cache fingerprint (via
 :func:`repro.core.warp.engine_features`) so fluid rows can never collide
 with exact rows.  Probes and transients stay exact: latency samples come
 from the calibration slice, and runs with fault plans, churn, telemetry
-sessions or per-packet tracing decline to the exact tiers.
+sessions or per-packet tracing decline to the exact tiers.  Like them,
+:func:`try_fluid` reports a :class:`~repro.core.warp.WarpReport` (mode
+``"fluid"``); :func:`repro.measure.runner.drive` decides whether it runs
+and what runs after a decline.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.core.warp import WarpReport, _Decline, _env_switch
 
 if TYPE_CHECKING:
     from repro.scenarios.base import Testbed
@@ -45,6 +48,11 @@ CAL_FRACTION = 0.02
 CAL_FLOOR_NS = 1_000_000.0
 CAL_CAP_NS = 8_000_000.0
 
+#: Declared max relative error of a fluid rate against exact mode: the
+#: calibration slice's halves must agree within it, and the validation
+#: tier gates on it.
+FLUID_TOLERANCE = 0.05
+
 #: Half-vs-half packet-count slack that absorbs burst quantisation at
 #: low rates (sources emit up to 32-frame bursts).
 QUANT_SLACK_PACKETS = 64
@@ -52,99 +60,43 @@ QUANT_SLACK_PACKETS = 64
 
 def fluid_enabled(default: bool = False) -> bool:
     """Whether the environment enables fluid mode (``REPRO_FLUID``)."""
-    value = os.environ.get("REPRO_FLUID", "").strip().lower()
-    if value in ("0", "false", "off", "no"):
-        return False
-    if value in ("1", "true", "on", "yes"):
-        return True
-    return default
+    return _env_switch("REPRO_FLUID", default)
 
 
-def fluid_tolerance(default: float = 0.05) -> float:
-    """Declared max relative error vs exact mode (``REPRO_FLUID_TOLERANCE``)."""
-    value = os.environ.get("REPRO_FLUID_TOLERANCE", "").strip()
-    if not value:
-        return default
-    try:
-        tolerance = float(value)
-    except ValueError:
-        return default
-    return tolerance if tolerance > 0 else default
-
-
-@dataclass
-class FluidReport:
-    """What the fluid tier did (or why it declined) for one driven run."""
-
-    engaged: bool
-    reason: str = ""
-    #: Simulated time covered by extrapolation instead of events.
-    fluid_ns: float = 0.0
-    #: Simulated time of the exact calibration slice.
-    calibration_ns: float = 0.0
-    tolerance: float = 0.05
-    #: Whether the attempt already advanced the clock past the window
-    #: open (a mid-window decline); the replay warp must then be skipped
-    #: because its pre-scan assumes a pre-window heap.
-    advanced: bool = False
-
-    def describe(self) -> str:
-        if self.engaged:
-            return (
-                f"engaged[fluid]: extrapolated {self.fluid_ns / 1e6:.3f} ms from a "
-                f"{self.calibration_ns / 1e6:.3f} ms calibration slice "
-                f"(tolerance {self.tolerance:.1%})"
-            )
-        return f"declined[fluid]: {self.reason}"
-
-
-class _FluidDecline(Exception):
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-def _eligibility(tb: "Testbed", watchdog_active: bool) -> None:
-    if watchdog_active:
-        # The watchdog scans live state on a period; a cleared heap would
-        # silently stop its invariant coverage mid-window.
-        raise _FluidDecline("watchdog-active")
+def _eligibility(tb: "Testbed") -> None:
     if tb.sim._observer is not None or tb.switch.obs is not None:
-        raise _FluidDecline("per-packet-tracing")
+        raise _Decline("per-packet-tracing")
     if tb.extras.get("fault_injector") is not None:
         # Faults are exactly the transients fluid cannot extrapolate
         # across; resilience runs stay on the exact tiers.
-        raise _FluidDecline("fault-plan-active")
+        raise _Decline("fault-plan-active")
     population = tb.extras.get("flow_population")
     if population is not None and population.churn_fps:
-        raise _FluidDecline("flow-churn")
+        raise _Decline("flow-churn")
     if tb.switch.flowstats is not None or tb.extras.get("flowstats") is not None:
         # Per-flow telemetry counts events; extrapolated counters would
         # leave it silently truncated at the calibration edge.
-        raise _FluidDecline("flow-telemetry")
+        raise _Decline("flow-telemetry")
 
 
-def try_fluid(
-    tb: "Testbed", t_open: float, t_close: float, watchdog_active: bool = False
-) -> FluidReport:
+def try_fluid(tb: "Testbed", t_open: float, t_close: float) -> WarpReport:
     """Attempt the fluid fast-forward for the window ``[t_open, t_close]``.
 
     On engagement the meters hold extrapolated window counts, the event
     heap is empty, and the caller's ``run_until(t_close)`` merely clamps
     the clock.  On a pre-window decline the simulator is untouched; on a
     mid-window decline (``unstable-rate``) the run has simply executed
-    exactly up to the calibration edge and ``advanced`` is set.
+    exactly up to the calibration edge.
     """
-    tolerance = fluid_tolerance()
     try:
-        _eligibility(tb, watchdog_active)
-    except _FluidDecline as decline:
-        return FluidReport(engaged=False, reason=decline.reason, tolerance=tolerance)
+        _eligibility(tb)
+    except _Decline as decline:
+        return WarpReport(engaged=False, reason=decline.reason, mode="fluid")
 
     span = t_close - t_open
     cal_ns = min(CAL_CAP_NS, max(CAL_FLOOR_NS, CAL_FRACTION * span))
     if span < 2.0 * cal_ns:
-        return FluidReport(engaged=False, reason="span-too-short", tolerance=tolerance)
+        return WarpReport(engaged=False, reason="span-too-short", mode="fluid")
 
     sim = tb.sim
     meters = list(tb.meters)
@@ -163,13 +115,9 @@ def try_fluid(
         if not peak:
             continue
         drift = abs(first - second)
-        if drift / peak > tolerance and drift > QUANT_SLACK_PACKETS:
-            return FluidReport(
-                engaged=False,
-                reason="unstable-rate",
-                calibration_ns=cal_ns,
-                tolerance=tolerance,
-                advanced=True,
+        if drift / peak > FLUID_TOLERANCE and drift > QUANT_SLACK_PACKETS:
+            return WarpReport(
+                engaged=False, reason="unstable-rate", verify_ns=cal_ns, mode="fluid"
             )
 
     remaining = t_close - t_cal
@@ -180,9 +128,4 @@ def try_fluid(
             packets1 + add_packets, bytes1 + add_bytes, meter.warmup_packets
         )
     sim._queue.clear()
-    return FluidReport(
-        engaged=True,
-        fluid_ns=remaining,
-        calibration_ns=cal_ns,
-        tolerance=tolerance,
-    )
+    return WarpReport(engaged=True, warped_ns=remaining, verify_ns=cal_ns, mode="fluid")

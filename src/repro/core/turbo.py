@@ -85,13 +85,6 @@ _LATTICE_TOP = 1 << 53
 _ITERATE = Core._iterate
 _MethodType = types.MethodType
 
-#: Scenario families whose wiring has been vetted for the turbo.  The
-#: per-span checks are what guarantee correctness; this gate exists so
-#: unknown scenario shapes decline with the same stable reason string the
-#: monolith uses.
-_SCENARIOS = ("p2p", "p2v", "v2v", "v2v-latency")
-_SCENARIO_PREFIXES = ("loopback-",)
-
 
 def _lambda_codes(func: Callable) -> tuple:
     return tuple(
@@ -105,8 +98,8 @@ def _benign_codes() -> set:
     """Code objects of event callbacks that cannot change poll semantics.
 
     Any dispatched event whose callback is *not* recognized here (fault
-    start/stop closures, watchdog scans, anything new) forces the next
-    bulk span through a fresh verification pass.
+    start/stop closures, anything new) forces the next bulk span through
+    a fresh verification pass.
     """
     from repro.nic.port import NicPort
 
@@ -315,14 +308,9 @@ def _chain_delay(core: Core) -> float:
 # -- eligibility --------------------------------------------------------------
 
 
-def _eligibility(tb: "Testbed", watchdog_active: bool) -> None:
-    if watchdog_active:
-        raise _Decline("watchdog-active")
+def _eligibility(tb: "Testbed") -> None:
     if tb.sim._observer is not None:
         raise _Decline("per-packet-tracing")
-    scenario = tb.scenario
-    if scenario not in _SCENARIOS and not scenario.startswith(_SCENARIO_PREFIXES):
-        raise _Decline(f"scenario:{scenario}")
     population = tb.extras.get("flow_population")
     if population is not None:
         # Same contract as the replay tier: flow-diverse load keeps the
@@ -559,7 +547,7 @@ def _scan_horizon(queue, profiles) -> tuple:
     return horizon
 
 
-def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> WarpReport:
+def turbo_drive(tb: "Testbed", t_end: float) -> WarpReport:
     """Run ``tb`` to ``t_end`` with bulk idle-poll advance; exact always.
 
     Replaces the caller's dispatch loop (the caller's ``run_until(t_end)``
@@ -569,7 +557,7 @@ def turbo_drive(tb: "Testbed", t_end: float, watchdog_active: bool = False) -> W
     to ``t_end`` by real dispatch, which produced the exact state.
     """
     try:
-        _eligibility(tb, watchdog_active)
+        _eligibility(tb)
     except _Decline as decline:
         return WarpReport(engaged=False, reason=decline.reason, mode="turbo")
     sim = tb.sim

@@ -19,9 +19,11 @@ Safety model
 * **Eligibility** is conservative: only the p2p unidirectional scenario
   on run-to-completion switches (BESS, FastClick, OvS-DPDK, VPP, t4p4s)
   engages.  Pipeline (Snabb) and interrupt-driven (VALE) switches, VM
-  scenarios, probe/latency traffic, attached observers, fault plans and
-  watchdogs all *decline* with a reason string and fall back to normal
-  dispatch, untouched.
+  scenarios, probe/latency traffic, attached observers and fault plans
+  all *decline* with a reason string and fall back to normal dispatch,
+  untouched.  Which tiers run at all is
+  :func:`repro.measure.runner.drive`'s decision: it runs none under the
+  invariant watchdog.
 * **Poll-synchronous jitter is replayed, not skipped**: the replay calls
   the real :class:`~repro.switches.jitter.CostJitter` (or a bit-exact
   clone during verification) at exactly the poll instants real dispatch
@@ -79,14 +81,20 @@ MIN_VERIFY_NS = 250_000.0
 _M32 = 0xFFFFFFFF
 
 
-def warp_enabled(default: bool = True) -> bool:
-    """Whether the environment enables the warp (``REPRO_WARP``)."""
-    value = os.environ.get("REPRO_WARP", "").strip().lower()
+def _env_switch(name: str, default: bool) -> bool:
+    """An on/off environment switch: ``1/true/on/yes`` or ``0/false/off/no``
+    (any case); unset or anything else gives ``default``."""
+    value = os.environ.get(name, "").strip().lower()
     if value in ("0", "false", "off", "no"):
         return False
     if value in ("1", "true", "on", "yes"):
         return True
     return default
+
+
+def warp_enabled(default: bool = True) -> bool:
+    """Whether the environment enables the exact tiers (``REPRO_WARP``)."""
+    return _env_switch("REPRO_WARP", default)
 
 
 def engine_features() -> dict[str, Any]:
@@ -99,27 +107,30 @@ def engine_features() -> dict[str, Any]:
     fluid mode existed stay valid for exact runs.
     """
     features: dict[str, Any] = {"warp": warp_enabled(), "warp_version": WARP_VERSION}
-    from repro.core.fluid import FLUID_VERSION, fluid_enabled, fluid_tolerance
+    from repro.core.fluid import FLUID_TOLERANCE, FLUID_VERSION, fluid_enabled
 
     if fluid_enabled():
         features["fluid"] = True
         features["fluid_version"] = FLUID_VERSION
-        features["fluid_tolerance"] = fluid_tolerance()
+        features["fluid_tolerance"] = FLUID_TOLERANCE
     return features
 
 
 @dataclass
 class WarpReport:
-    """What the fast-forward engine did (or why it declined) for one run.
+    """What a fast-forward tier did (or why it declined) for one run.
 
-    ``mode`` names the tier that produced the report: ``"replay"`` for
-    the p2p steady-state mirror, ``"turbo"`` for the multi-hop chain
-    turbo, ``"fluid"`` for the rate-based approximation tier.
+    Every tier returns one: ``mode`` names it, ``"replay"`` for the p2p
+    steady-state mirror, ``"turbo"`` for the multi-hop chain turbo,
+    ``"fluid"`` for the rate-based approximation tier.
 
-    ``warped_ns`` is the simulated time the tier fast-forwarded.  The
+    ``warped_ns`` is the simulated time the tier fast-forwarded and
+    ``verify_ns`` the slice it dispatched for real to check itself.  The
     replay covers everything after its verify slice, warm-up included,
     so for it ``warped_ns`` is ``warmup + measure - verify_ns`` and can
-    exceed the measurement window.
+    exceed the measurement window.  For fluid, ``warped_ns`` is the
+    extrapolated rest of the window and ``verify_ns`` the calibration
+    slice (also set when the slice's rate proves unstable).
     """
 
     engaged: bool
@@ -130,12 +141,17 @@ class WarpReport:
     mode: str = "replay"
 
     def describe(self) -> str:
-        if self.engaged:
+        if not self.engaged:
+            return f"declined[{self.mode}]: {self.reason}"
+        if self.mode == "fluid":
             return (
-                f"engaged[{self.mode}]: replayed {self.events_replayed} events over "
-                f"{self.warped_ns / 1e6:.3f} ms (verified {self.verify_ns / 1e3:.0f} us)"
+                f"engaged[fluid]: extrapolated {self.warped_ns / 1e6:.3f} ms from a "
+                f"{self.verify_ns / 1e6:.3f} ms calibration slice"
             )
-        return f"declined[{self.mode}]: {self.reason}"
+        return (
+            f"engaged[{self.mode}]: replayed {self.events_replayed} events over "
+            f"{self.warped_ns / 1e6:.3f} ms (verified {self.verify_ns / 1e3:.0f} us)"
+        )
 
 
 class _Decline(Exception):
@@ -209,7 +225,7 @@ class _Ctx:
     )
 
 
-def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
+def _eligibility(tb: "Testbed") -> _Ctx:
     """Resolve the p2p steady-state structure or raise :class:`_Decline`."""
     from repro.core.packet import blocks_enabled
     from repro.switches.bess import Bess
@@ -219,8 +235,6 @@ def _eligibility(tb: "Testbed", watchdog_active: bool) -> _Ctx:
     from repro.switches.vpp import Vpp
     from repro.traffic.moongen import MoonGenRx, MoonGenTx
 
-    if watchdog_active:
-        raise _Decline("watchdog-active")
     if tb.scenario != "p2p":
         raise _Decline(f"scenario:{tb.scenario}")
     population = tb.extras.get("flow_population")
@@ -1094,11 +1108,7 @@ def _commit(ctx: _Ctx, st: _Snap) -> None:
 # -- entry point ------------------------------------------------------------
 
 
-def try_warp(
-    tb: "Testbed",
-    t_close: float,
-    watchdog_active: bool = False,
-) -> WarpReport:
+def try_warp(tb: "Testbed", t_close: float) -> WarpReport:
     """Attempt to fast-forward ``tb`` from where its simulator stands to
     ``t_close``.
 
@@ -1114,7 +1124,7 @@ def try_warp(
     all) and the caller's ``run_until`` finishes the run normally.
     """
     try:
-        ctx = _eligibility(tb, watchdog_active)
+        ctx = _eligibility(tb)
     except _Decline as decline:
         return WarpReport(engaged=False, reason=decline.reason)
 
@@ -1193,7 +1203,13 @@ def state_fingerprint(tb: "Testbed") -> tuple:
                 (canon(k, depth + 1), canon(v, depth + 1))
                 for k, v in value.items()
             )
-        return f"<{type(value).__name__}>"
+        # Any other object (VPP's node runtimes, t4p4s's P4 table,
+        # OvS-DPDK's OpenFlow table...): its type and scalar counters.
+        return (f"<{type(value).__name__}>",) + tuple(
+            (name, repr(v) if isinstance(v, float) else v)
+            for name, v in sorted(getattr(value, "__dict__", {}).items())
+            if isinstance(v, (int, float, str, type(None)))
+        )
 
     def ring_view(ring) -> tuple:
         return (

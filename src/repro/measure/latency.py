@@ -76,16 +76,9 @@ def measure_latency_at(
     probe_interval_ns: float = DEFAULT_PROBE_INTERVAL_NS,
     seed: int = 1,
     trial: int = 0,
-    fluid: bool | None = None,
     **build_kwargs,
 ) -> LatencyPoint:
-    """RTT at one offered load (probes woven into background traffic).
-
-    ``fluid`` opts the run into rate-based extrapolation (``None``
-    follows ``REPRO_FLUID``).  Probes stay exact by construction: every
-    RTT sample comes from the exactly-executed calibration slice, only
-    the steady throughput counters are extrapolated past it.
-    """
+    """RTT at one offered load (probes woven into background traffic)."""
     if trial:
         build_kwargs = dict(build_kwargs, trial=trial)
     tb = build(
@@ -96,7 +89,7 @@ def measure_latency_at(
         seed=seed,
         **build_kwargs,
     )
-    result = drive(tb, warmup_ns=warmup_ns, measure_ns=measure_ns, fluid=fluid)
+    result = drive(tb, warmup_ns=warmup_ns, measure_ns=measure_ns)
     sample = result.latency if result.latency is not None else LatencySample()
     return LatencyPoint(fraction=fraction, offered_pps=rate_pps, sample=sample)
 
@@ -184,7 +177,6 @@ def latency_sweep(
     seed: int = 1,
     cache: "ResultCache | None" = None,
     trials: int = 1,
-    fluid: bool | None = None,
     **build_kwargs,
 ) -> dict[float, LatencyPoint]:
     """The Table 3 per-switch procedure: estimate R+, probe at fractions.
@@ -199,9 +191,6 @@ def latency_sweep(
     per-trial mean RTTs plus their :class:`TrialSummary` dict.  R+ is
     estimated once, at trial 0 -- the load grid must be common to all
     trials or their RTTs are not comparable.
-
-    ``fluid`` opts every probe run into rate-based extrapolation (see
-    :func:`measure_latency_at`; RTT samples stay exact either way).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -226,7 +215,6 @@ def latency_sweep(
             measure_ns=measure_ns,
             probe_interval_ns=probe_interval_ns,
             seed=seed,
-            fluid=fluid,
             **build_kwargs,
         )
         if trials > 1:
@@ -245,7 +233,6 @@ def latency_sweep(
                     probe_interval_ns=probe_interval_ns,
                     seed=seed,
                     trial=k,
-                    fluid=fluid,
                     **build_kwargs,
                 )
                 means.append(replica.mean_us)

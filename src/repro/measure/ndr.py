@@ -67,22 +67,18 @@ def measure_loss(
     measure_ns: float = DEFAULT_MEASURE_NS,
     seed: int = 1,
     trial: int = 0,
-    fluid: bool | None = None,
     **build_kwargs,
 ) -> float:
     """Loss fraction at one offered rate (received vs offered in-window).
 
     ``trial`` selects a soundness-trial replica; 0 never reaches the
     builder, so the single-trial path keeps the pre-soundness call
-    signature exactly.  ``fluid`` opts the trial into the rate-based
-    extrapolation tier (:mod:`repro.core.fluid`; ``None`` follows
-    ``REPRO_FLUID``) -- hour-scale NDR probes spend their event budget
-    on a calibration slice instead of the whole window.
+    signature exactly.
     """
     if trial:
         build_kwargs = dict(build_kwargs, trial=trial)
     tb = build(switch_name, frame_size=frame_size, rate_pps=rate_pps, seed=seed, **build_kwargs)
-    result = drive(tb, warmup_ns=warmup_ns, measure_ns=measure_ns, fluid=fluid)
+    result = drive(tb, warmup_ns=warmup_ns, measure_ns=measure_ns)
     received = result.mpps * 1e6
     offered = rate_pps
     if offered <= 0:
@@ -185,7 +181,6 @@ def ndr_search(
     loss_percentile: float = 50.0,
     ci_level: float = 0.95,
     bootstrap_resamples: int = 200,
-    fluid: bool | None = None,
     **build_kwargs,
 ) -> NdrResult:
     """RFC 2544 binary search for the highest rate with loss <= threshold.
@@ -216,11 +211,6 @@ def ndr_search(
     just costs ``trials`` measurements), and the result carries per-rate
     trial records plus a bootstrap CI for the NDR.  ``trials=1`` is the
     classic search, bit-identical to the pre-soundness implementation.
-
-    ``fluid`` opts every visited rate into the rate-based extrapolation
-    tier (``None`` follows ``REPRO_FLUID``): long windows execute a
-    calibration slice exactly and extrapolate the rest, making
-    hour-scale NDR searches tractable at the declared tolerance.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -240,7 +230,7 @@ def ndr_search(
             loss = measure_loss(
                 build, switch_name, frame_size, rate,
                 warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-                fluid=fluid, **build_kwargs,
+                **build_kwargs,
             )
             allowance = tolerance_packets / (rate * measure_ns / 1e9)
             visited.append((rate, loss))
@@ -254,7 +244,7 @@ def ndr_search(
                 measure_loss(
                     build, switch_name, frame_size, rate,
                     warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-                    trial=k, fluid=fluid, **build_kwargs,
+                    trial=k, **build_kwargs,
                 )
                 for k in range(trials)
             )

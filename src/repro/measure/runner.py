@@ -1,12 +1,20 @@
 """Experiment execution: warm-up, measurement window, result records.
 
+:func:`drive` alone decides which fast-forward tiers run: it reads the
+``REPRO_FLUID`` and ``REPRO_WARP`` switches (or its ``fluid``/``warp``
+arguments) and tries fluid, then the replay, then the chain turbo, each
+returning a :class:`~repro.core.warp.WarpReport`.
+
 Setting ``REPRO_WATCHDOG=1`` in the environment attaches an
 :class:`~repro.faults.watchdog.InvariantWatchdog` to every driven
 testbed (``REPRO_WATCHDOG=strict`` raises on the first violation;
 ``REPRO_WATCHDOG_REPORT=path.jsonl`` appends one report row per run).
 The watchdog is a read-only periodic scanner, so measured numbers are
 unchanged -- it exists so CI can assert model invariants across the
-whole tier-1 suite without instrumenting hot paths.
+whole tier-1 suite without instrumenting hot paths.  No tier runs under
+it: its scans must see every intermediate state, so a watched run is
+dispatched event by event and its reports decline as
+``watchdog-active``.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.core.fluid import FluidReport, fluid_enabled, try_fluid
+from repro.core.fluid import fluid_enabled, try_fluid
 from repro.core.stats import LatencySample
 from repro.core.turbo import turbo_drive
 from repro.core.warp import WarpReport, try_warp, warp_enabled
@@ -53,10 +61,11 @@ class RunResult:
     per_direction_mpps: list[float] = field(default_factory=list)
     latency: LatencySample | None = None
     events: int = 0
-    #: What the steady-state fast-forward did (None when warp disabled).
+    #: What the fast-forward tiers did: the engaged tier's report, else
+    #: the turbo's decline (None when warp is off and fluid did not engage).
     warp: WarpReport | None = None
     #: What the fluid tier did (None when fluid mode is off).
-    fluid: FluidReport | None = None
+    fluid: WarpReport | None = None
 
     @property
     def gbps(self) -> float:
@@ -86,8 +95,8 @@ def drive(
 
     ``fluid`` opts into the approximate tier (:mod:`repro.core.fluid`):
     ``None`` follows ``REPRO_FLUID`` (default off).  When fluid engages
-    it supersedes the exact tiers for that run; when it declines the run
-    falls through to them.
+    it supersedes the exact tiers for that run; when it declines, even
+    mid-window, the run falls through to them from where it stands.
     """
     if warmup_ns < 0:
         raise ValueError("warmup_ns must be non-negative")
@@ -99,25 +108,27 @@ def drive(
         meter.open_window(t_open)
         meter.close_window(t_close)
     watchdog = _env_watchdog(tb)
+    use_fluid = fluid if fluid is not None else fluid_enabled()
+    use_warp = warp if warp is not None else warp_enabled()
     warp_report: WarpReport | None = None
-    fluid_report: FluidReport | None = None
-    if fluid if fluid is not None else fluid_enabled():
-        fluid_report = try_fluid(tb, t_open, t_close, watchdog is not None)
-    if fluid_report is not None and fluid_report.engaged:
-        warp_report = WarpReport(
-            engaged=True,
-            mode="fluid",
-            warped_ns=fluid_report.fluid_ns,
-            verify_ns=fluid_report.calibration_ns,
-        )
-    elif warp if warp is not None else warp_enabled():
-        if fluid_report is None or not fluid_report.advanced:
-            warp_report = try_warp(tb, t_close, watchdog is not None)
-        if warp_report is None or not warp_report.engaged:
+    fluid_report: WarpReport | None = None
+    if watchdog is not None:
+        if use_fluid:
+            fluid_report = WarpReport(engaged=False, reason="watchdog-active", mode="fluid")
+        if use_warp:
+            warp_report = WarpReport(engaged=False, reason="watchdog-active", mode="turbo")
+    else:
+        if use_fluid:
+            fluid_report = try_fluid(tb, t_open, t_close)
+            if fluid_report.engaged:
+                warp_report = fluid_report
+        if use_warp and warp_report is None:
             # The replay warp handles clean unidirectional p2p; everything
             # else falls through to the chain turbo, which dispatches the
             # run itself (bit-identically) while bulk-advancing idle spans.
-            warp_report = turbo_drive(tb, t_close, watchdog is not None)
+            warp_report = try_warp(tb, t_close)
+            if not warp_report.engaged:
+                warp_report = turbo_drive(tb, t_close)
     tb.sim.run_until(t_close)
     if watchdog is not None:
         watchdog.finalize()

@@ -28,3 +28,13 @@ def machine(sim: Simulator) -> Machine:
 @pytest.fixture
 def rngs() -> RngRegistry:
     return RngRegistry(seed=42)
+
+
+@pytest.fixture
+def unwatched(monkeypatch):
+    """Detach the invariant watchdog (``REPRO_WATCHDOG``) for one test.
+
+    ``drive`` runs no fast-forward tier under the watchdog, so tests whose
+    subject is a tier's engagement or decline reason pin it off.
+    """
+    monkeypatch.delenv("REPRO_WATCHDOG", raising=False)

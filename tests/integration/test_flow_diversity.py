@@ -115,6 +115,7 @@ def test_churn_prevents_cache_convergence():
 # -- warp: decline, never engage --------------------------------------------
 
 
+@pytest.mark.usefixtures("unwatched")
 def test_warp_declines_multi_flow_with_stable_reason():
     tb = p2p.build("ovs-dpdk", frame_size=64, flows=1000, flow_dist="zipf")
     result = drive(tb, **WINDOWS, warp=True)
@@ -123,6 +124,7 @@ def test_warp_declines_multi_flow_with_stable_reason():
     assert result.warp.reason == "multi-flow-traffic"
 
 
+@pytest.mark.usefixtures("unwatched")
 def test_warp_declines_churn_with_stable_reason():
     tb = p2p.build("ovs-dpdk", frame_size=64, flows=100, churn=1e6)
     result = drive(tb, **WINDOWS, warp=True)

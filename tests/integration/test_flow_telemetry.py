@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
 from repro.cli import main
 from repro.core.packet import PacketBlock, flows_front, make_block, release_batch, release_block
 from repro.core.ring import Ring
@@ -143,6 +145,7 @@ def test_accounted_run_matches_unaccounted_run():
     assert 0 < summary["tracked"] <= 32
 
 
+@pytest.mark.usefixtures("unwatched")
 def test_warp_declines_accounted_runs():
     tb = p2p.build("ovs-dpdk", frame_size=64)
     observe(tb, ObsConfig(flowstats=True))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -456,6 +457,7 @@ class TestWarpIdentityProperties:
         ]
         assert off.events == on.events
 
+    @pytest.mark.usefixtures("unwatched")
     @seed(20260807)
     @settings(max_examples=8, deadline=None)
     @given(st.sampled_from(("ovs-dpdk", "vpp", "bess")), st.integers(min_value=1, max_value=5))

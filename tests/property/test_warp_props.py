@@ -35,15 +35,18 @@ from __future__ import annotations
 
 from math import inf, nextafter
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.core.fluid import fluid_tolerance
+from repro.core.fluid import FLUID_TOLERANCE
 from repro.core.turbo import _advance, _lattice_advance, _merge_advance
 from repro.core.units import line_rate_pps
 from repro.core.warp import state_fingerprint
 from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
+
+pytestmark = pytest.mark.usefixtures("unwatched")
 
 #: Turbo-eligible shapes beyond clean uni p2p (which replay covers) and
 #: a sub-capacity rate band per shape (slowest-switch headroom).
@@ -177,7 +180,7 @@ class TestFluidTolerance:
         assert approx.fluid is not None and approx.fluid.engaged
         assert exact.mpps > 0
         rel_err = abs(approx.mpps - exact.mpps) / exact.mpps
-        assert rel_err <= fluid_tolerance(), (
+        assert rel_err <= FLUID_TOLERANCE, (
             f"fluid {approx.mpps} vs exact {exact.mpps}: {rel_err:.4%}"
         )
 

@@ -152,6 +152,7 @@ def test_unknown_scenario_rejected():
         main(["warp-drive"])
 
 
+@pytest.mark.usefixtures("unwatched")
 def test_profile_surfaces_warp_state(capsys):
     """--profile reports what the fast-forward did (here: why it declined
     -- per-packet profiling is one of the replay-safety guard rails)."""
@@ -183,13 +184,11 @@ def test_engine_flags_do_not_leak_out_of_main(monkeypatch):
     """The engine flags hold for one command; main() hands the caller's
     environment back as it found it, unset variables included."""
     monkeypatch.delenv("REPRO_WARP", raising=False)
-    monkeypatch.delenv("REPRO_FLUID_TOLERANCE", raising=False)
     monkeypatch.setenv("REPRO_FLUID", "0")
     before = engine_features()
-    for flags in (["--fluid", "--fluid-tolerance", "0.1"], ["--no-warp"]):
+    for flags in (["--fluid"], ["--no-warp"]):
         assert main(["p2p", "--switch", "vpp", *flags, *FAST]) == 0
         assert "REPRO_WARP" not in os.environ
-        assert "REPRO_FLUID_TOLERANCE" not in os.environ
         assert os.environ["REPRO_FLUID"] == "0"
         assert engine_features() == before
 

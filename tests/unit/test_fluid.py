@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.fluid as fluid_tier
 from repro.core.fluid import (
     CAL_CAP_NS,
     CAL_FLOOR_NS,
-    FluidReport,
+    FLUID_TOLERANCE,
     fluid_enabled,
-    fluid_tolerance,
     try_fluid,
 )
-from repro.core.warp import engine_features
+from repro.core.warp import WarpReport, engine_features, state_fingerprint
 from repro.measure.runner import drive
 from repro.scenarios import p2p
+
+pytestmark = pytest.mark.usefixtures("unwatched")
+
+#: Switches the replay tier engages on (clean unidirectional p2p).
+REPLAY_SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s"]
 
 
 def test_fluid_enabled_parses_environment(monkeypatch):
@@ -29,15 +34,6 @@ def test_fluid_enabled_parses_environment(monkeypatch):
         assert fluid_enabled() is expected, value
 
 
-def test_fluid_tolerance_parses_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_FLUID_TOLERANCE", raising=False)
-    assert fluid_tolerance() == 0.05
-    monkeypatch.setenv("REPRO_FLUID_TOLERANCE", "0.02")
-    assert fluid_tolerance() == 0.02
-    monkeypatch.setenv("REPRO_FLUID_TOLERANCE", "garbage")
-    assert fluid_tolerance() == 0.05
-
-
 def test_engine_features_gain_fluid_keys_only_when_enabled(monkeypatch):
     """Cache-key safety: a fluid-off session must fingerprint exactly as
     it did before the fluid tier existed."""
@@ -47,15 +43,15 @@ def test_engine_features_gain_fluid_keys_only_when_enabled(monkeypatch):
     monkeypatch.setenv("REPRO_FLUID", "1")
     on = dict(engine_features())
     assert on["fluid_version"] >= 1
-    assert on["fluid_tolerance"] == fluid_tolerance()
+    assert on["fluid_tolerance"] == FLUID_TOLERANCE == 0.05
 
 
 def test_report_describe_both_shapes():
-    engaged = FluidReport(
-        engaged=True, fluid_ns=9e6, calibration_ns=1e6, tolerance=0.05
+    engaged = WarpReport(engaged=True, warped_ns=9e6, verify_ns=1e6, mode="fluid")
+    assert engaged.describe() == (
+        "engaged[fluid]: extrapolated 9.000 ms from a 1.000 ms calibration slice"
     )
-    assert engaged.describe().startswith("engaged[fluid]:")
-    declined = FluidReport(engaged=False, reason="span-too-short")
+    declined = WarpReport(engaged=False, reason="span-too-short", mode="fluid")
     assert declined.describe() == "declined[fluid]: span-too-short"
 
 
@@ -64,8 +60,11 @@ def test_engages_on_clean_run_and_extrapolates():
     result = drive(tb, warmup_ns=6e5, measure_ns=6e7, fluid=True)
     report = result.fluid
     assert report is not None and report.engaged, result
-    assert CAL_FLOOR_NS <= report.calibration_ns <= CAL_CAP_NS
-    assert report.fluid_ns == pytest.approx(6e7 - report.calibration_ns)
+    assert report.mode == "fluid"
+    assert CAL_FLOOR_NS <= report.verify_ns <= CAL_CAP_NS
+    assert report.warped_ns == pytest.approx(6e7 - report.verify_ns)
+    # drive records fluid's own report as the run's tier report.
+    assert result.warp is report
     # The heap was drained and meters hold extrapolated window counts.
     assert result.mpps == pytest.approx(3.0, rel=0.05)
     total = sum(m.packets for m in tb.meters)
@@ -77,14 +76,7 @@ def test_declines_below_double_calibration_span():
     report = try_fluid(tb, 6e5, 6e5 + 1.5 * CAL_FLOOR_NS)
     assert not report.engaged
     assert report.reason == "span-too-short"
-    assert not report.advanced
-
-
-def test_declines_under_watchdog():
-    tb = p2p.build("vpp", frame_size=64, seed=1)
-    report = try_fluid(tb, 6e5, 6e7, watchdog_active=True)
-    assert not report.engaged
-    assert report.reason == "watchdog-active"
+    assert tb.sim.events_executed == 0  # declined before touching the run
 
 
 def test_declines_on_armed_fault_plan():
@@ -142,4 +134,27 @@ def test_fluid_rate_within_declared_tolerance():
     fluid = drive(tb, measure_ns=6e7, fluid=True)
     assert fluid.fluid.engaged
     rel_err = abs(fluid.mpps - exact.mpps) / exact.mpps
-    assert rel_err <= fluid_tolerance()
+    assert rel_err <= FLUID_TOLERANCE
+
+
+@pytest.mark.parametrize("switch", REPLAY_SWITCHES)
+def test_mid_window_decline_falls_through_to_the_replay(monkeypatch, switch):
+    """After ``unstable-rate`` the run stands at the calibration edge; the
+    replay verifies and replays from there, and the end state equals a
+    run with every tier off."""
+    monkeypatch.setattr(fluid_tier, "FLUID_TOLERANCE", 0.0)
+    monkeypatch.setattr(fluid_tier, "QUANT_SLACK_PACKETS", 0)
+    windows = dict(warmup_ns=6e5, measure_ns=3e6)
+
+    tb_on = p2p.build(switch, frame_size=64, seed=3)
+    on = drive(tb_on, fluid=True, warp=True, **windows)
+    assert on.fluid.reason == "unstable-rate"
+    assert on.warp.engaged and on.warp.mode == "replay", on.warp.describe()
+
+    tb_off = p2p.build(switch, frame_size=64, seed=3)
+    off = drive(tb_off, fluid=False, warp=False, **windows)
+    assert state_fingerprint(tb_on) == state_fingerprint(tb_off)
+    assert [repr(v) for v in on.per_direction_gbps] == [
+        repr(v) for v in off.per_direction_gbps
+    ]
+    assert on.events == off.events

@@ -83,3 +83,29 @@ def test_latency_sample_attachable():
         duration_ns=1.0, latency=sample,
     )
     assert result.latency.mean_us == pytest.approx(5.0)
+
+
+def test_drive_runs_no_tier_under_the_watchdog(monkeypatch):
+    """With the invariant watchdog attached, drive attempts no tier: the
+    run is dispatched event by event and both reports say why."""
+    from repro.core.warp import WarpReport
+    from repro.measure.runner import drive
+    from repro.scenarios import p2p
+
+    windows = dict(warmup_ns=1e5, measure_ns=2.5e6)
+    monkeypatch.delenv("REPRO_WATCHDOG_REPORT", raising=False)
+    monkeypatch.setenv("REPRO_WATCHDOG", "1")
+    tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
+    watched = drive(tb, fluid=True, warp=True, **windows)
+    assert watched.fluid == WarpReport(engaged=False, reason="watchdog-active", mode="fluid")
+    assert watched.warp == WarpReport(engaged=False, reason="watchdog-active", mode="turbo")
+    assert drive(p2p.build("vpp", frame_size=64, seed=1), **windows).fluid is None
+
+    monkeypatch.delenv("REPRO_WATCHDOG")
+    plain = drive(
+        p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1),
+        fluid=False, warp=False, **windows,
+    )
+    assert [repr(v) for v in watched.per_direction_gbps] == [
+        repr(v) for v in plain.per_direction_gbps
+    ]

