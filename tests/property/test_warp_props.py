@@ -24,8 +24,10 @@ reproduce:
    exactly what the k-way ``(time, seq)`` merge returns and leaves the
    same rows, across lock-step groups and independent poll grids, bounds
    at chain heads, deadlines at or below heads, ``t_end`` cuts on polls,
-   heads just below a power of two and half-ulp delays; and it decides
-   every span whose polls stay inside one binade.
+   heads just below a power of two, half-ulp delays and the table's
+   common case (every deadline and ``t_end`` at or past the bound); it
+   decides every span whose polls stay inside one binade, and takes its
+   closed-form common case where it applies.
 
 Contract 2 also runs on loopback chains of 1-5 VNFs on every switch,
 where VNF cores poll in lock-step groups and spans gather 4-6 chains.
@@ -33,6 +35,8 @@ where VNF cores poll in lock-step groups and spans gather 4-6 chains.
 
 from __future__ import annotations
 
+import inspect
+import sys
 from math import inf, nextafter
 
 import pytest
@@ -272,8 +276,48 @@ def _even_seqs(draw, n):
 
 
 @st.composite
+def _common_spans(draw):
+    """Spans of the table's common case: one delay, every deadline and
+    ``t_end`` at or past the bound, no head on it, and the bound inside
+    the earliest head's binade (rows past the bound included)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    delay = draw(st.sampled_from(_DELAYS))
+    low = 2.0 ** draw(st.integers(min_value=19, max_value=50))
+    origin = draw(st.floats(min_value=low, max_value=2 * low - 80 * delay))
+    layout = draw(st.sampled_from(("grid", "groups")))
+    seqs = _even_seqs(draw, n)
+    rows = _grid_rows(draw, n, origin, delay, layout, seqs)
+    heads = {row[0] for row in rows}
+    t_lo = min(heads)
+    if draw(st.booleans()):
+        # On a poll of one of the chains: a later poll lands on the bound.
+        row = draw(st.sampled_from(rows))
+        bound_t = _poll_after(row[0], delay, draw(st.integers(1, 60)))
+    else:
+        bound_t = t_lo + draw(st.floats(min_value=0.0, max_value=60 * delay))
+    while bound_t in heads:
+        bound_t = nextafter(bound_t, inf)
+    for row in rows:
+        # At or past the bound, and above the row's own head (a table row
+        # whose head reaches its deadline has left).
+        floor = max(bound_t, nextafter(row[0], inf))
+        row[6] = draw(st.one_of(
+            st.just(inf), st.just(floor),
+            st.floats(min_value=floor, max_value=floor + 60 * delay),
+        ))
+    t_end = draw(st.one_of(
+        st.just(bound_t),
+        st.floats(min_value=bound_t, max_value=bound_t + 60 * delay),
+    ))
+    bound_s = 2 * draw(st.integers(0, 10_000)) + 1
+    return rows, bound_t, bound_s, t_end, max(seqs + [bound_s]) + 1
+
+
+@st.composite
 def _chain_spans(draw):
     """Chain rows plus ``(bound_t, bound_s, t_end, seq)`` for one span."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(_common_spans())
     n = draw(st.integers(min_value=2, max_value=6))
     delay = draw(st.sampled_from(_DELAYS))
     where = draw(st.sampled_from(("anywhere", "below-power-of-two", "half-ulp")))
@@ -392,3 +436,53 @@ class TestLatticeAdvance:
         fast = [list(row) for row in rows]
         assert _lattice_advance(fast, bound_t, bound_s, t_end, seq) == expected
         assert fast == ref
+
+    @seed(20261017)
+    @settings(max_examples=150, deadline=None)
+    @given(case=_common_spans())
+    def test_takes_the_common_case(self, case):
+        rows, bound_t, bound_s, t_end, seq = case
+        ref = [list(row) for row in rows]
+        expected = _merge_advance(ref, bound_t, bound_s, t_end, seq)
+        fast = [list(row) for row in rows]
+        result, lines = _lines_run(_lattice_advance, fast, bound_t, bound_s, t_end, seq)
+        assert result == expected
+        assert fast == ref
+        if expected[0]:
+            assert _COMMON_CASE_LINE in lines
+
+
+def _lines_run(func, *args):
+    """``func(*args)`` and the line numbers it ran in its own frame."""
+    code = func.__code__
+    lines = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    def dispatch(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(dispatch)
+    try:
+        result = func(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
+
+def _common_case_line() -> int:
+    """The line of ``_lattice_advance`` that counts a row's polls in the
+    common case, ``ceil((b - n) / M)``."""
+    source, first = inspect.getsourcelines(_lattice_advance)
+    (offset,) = [
+        i for i, line in enumerate(source)
+        if "count = (bound - n + step - 1) // step" in line
+    ]
+    return first + offset
+
+
+_COMMON_CASE_LINE = _common_case_line()

@@ -108,6 +108,33 @@ def test_state_fingerprint_sees_switch_table_counters(switch, table, counter):
     assert state_fingerprint(tb) != before
 
 
+@pytest.mark.parametrize("edit", ["seq", "payload", "drop"])
+def test_state_fingerprint_sees_pending_events(edit):
+    """A fast-forward that put an event back at another seq, with other
+    frames, or not at all leaves a different heap; the fingerprint
+    compares the pending events, so it would show."""
+    tb = v2v.build("vpp", frame_size=64, rate_pps=8e5, seed=1)
+    drive(tb, warmup_ns=1e5, measure_ns=4e5, warp=False)
+    before = state_fingerprint(tb)
+    assert before == state_fingerprint(tb)
+    queue = tb.sim._queue
+    if edit == "payload":
+        # The frames an in-flight closure carries: one more hop on one.
+        frames = next(
+            cell.cell_contents
+            for _t, _s, cb in queue
+            for cell in getattr(cb, "__closure__", None) or ()
+            if isinstance(cell.cell_contents, list) and cell.cell_contents
+        )
+        frames[0].hops += 1
+    else:
+        index = max(range(len(queue)), key=lambda i: queue[i][1])
+        time, seq, cb = queue.pop(index)
+        if edit == "seq":
+            queue.append((time, seq + 1, cb))
+    assert state_fingerprint(tb) != before
+
+
 # -- engagement and bit-identity --------------------------------------------
 
 

@@ -5,9 +5,10 @@ unidirectional and bidirectional p2p, p2v, v2v and loopback VNF chains
 of 2 and 3 VNFs -- under saturating and sub-capacity input (84 cells:
 7 switches x 6 shapes x 2 rates), and asserts per cell that
 
-* the end-state fingerprint (every counter, timestamp, stats accumulator
-  and RNG stream; :func:`repro.core.warp.state_fingerprint`) and the
-  measured results are bit-identical between warp-off and warp-on runs;
+* the end-state fingerprint (every counter, timestamp, stats accumulator,
+  RNG stream and pending event; :func:`repro.core.warp.state_fingerprint`)
+  and the measured results are bit-identical between warp-off and
+  warp-on runs;
 * the engine's engage/decline decision matches the contract: exact
   switches engage everywhere (replay on clean uni p2p, the chain turbo
   elsewhere); Snabb and VALE engage the turbo on loopback, through the
@@ -23,8 +24,10 @@ of 2 and 3 VNFs -- under saturating and sub-capacity input (84 cells:
   too, so ``warped_ns == (warmup + measure) - verify_ns``.
 
 Usage: ``PYTHONPATH=src python tools/warp_check.py [measure_ns]``
-(default 3 ms; CI runs the 10x window where warp covers most of the
-simulated horizon).
+(default 3 ms; CI also runs paper-grid's 0.6 ms window, where
+verification spans and the turbo's table hand-offs are a large share of
+each run, and the 10x window where warp covers most of the simulated
+horizon).
 """
 
 import sys
