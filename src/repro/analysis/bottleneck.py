@@ -63,15 +63,6 @@ def _hop_stage_costs(
     raise ValueError(f"unknown hop kind {kind!r}")
 
 
-def _hop_cost(params: SwitchParams, kind: str, frame_size: int, bidir: bool) -> float:
-    """Per-packet cycles for one forwarding hop of a given kind."""
-    rx, proc, tx = _hop_stage_costs(params, kind, frame_size, bidir)
-    overhead = 0.0
-    if params.pipeline:
-        overhead = params.app_overhead_cycles / max(1, params.batch_size)
-    return rx + proc + tx + overhead
-
-
 def _thrash(params: SwitchParams, attachments: int) -> float:
     if params.thrash_attachments is not None and attachments >= params.thrash_attachments:
         return params.thrash_factor

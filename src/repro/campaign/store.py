@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.cache import run_key
 from repro.campaign.spec import RunFailure, RunRecord, outcome_from_dict
 
 CSV_COLUMNS = (
@@ -170,8 +169,3 @@ def _write_csv(fh, outcomes: Iterable[tuple[str, RunRecord | RunFailure]]) -> No
     writer.writeheader()
     for key, outcome in outcomes:
         writer.writerow(_row_for(outcome, key))
-
-
-def store_key(outcome: RunRecord | RunFailure) -> str:
-    """The canonical key for an outcome (cache key of its spec)."""
-    return run_key(outcome.spec)

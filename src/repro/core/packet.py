@@ -15,9 +15,6 @@ materialises -- stay exact :class:`Packet` objects; both types expose the
 same template attributes (``size``, ``flow_id``, ``src_mac``, ``dst_mac``,
 ``t_created``, ``hops``, ``count``, ``is_probe``) so hot loops never
 branch on the representation.
-
-A free list (:func:`acquire_block` / :func:`release_block`) recycles
-blocks so steady-state traffic allocates nothing.
 """
 
 from __future__ import annotations
@@ -192,7 +189,7 @@ class PacketBlock:
             raise ValueError(
                 f"cannot split {front_count} frames off a block of {self.count}"
             )
-        front = acquire_block(
+        front = PacketBlock(
             self.size,
             self.flow_id,
             self.src_mac,
@@ -214,28 +211,6 @@ class PacketBlock:
             self.flow_id = tail_runs[0][0]
             self.src_mac = mac_base + self.flow_id
         return front
-
-    def merge(self, other: "PacketBlock") -> bool:
-        """Absorb ``other`` if it is the seq-contiguous same-template tail.
-
-        Returns True (and recycles ``other``) on success; used to coalesce
-        blocks that a probe boundary or a ring split fragmented.
-        """
-        if (
-            other.seq0 == self.seq0 + self.count
-            and other.size == self.size
-            and other.flow_id == self.flow_id
-            and other.src_mac == self.src_mac
-            and other.dst_mac == self.dst_mac
-            and other.t_created == self.t_created
-            and other.hops == self.hops
-            and other.flows is None
-            and self.flows is None
-        ):
-            self.count += other.count
-            release_block(other)
-            return True
-        return False
 
     def materialize(self) -> list[Packet]:
         """Expand to exact packets (tests, sampled lifecycle inspection)."""
@@ -341,64 +316,6 @@ def select_flows(runs: tuple, kept_offsets: list) -> tuple | None:
     return tuple((flow, count) for flow, count in out)
 
 
-# -- block free list --------------------------------------------------------
-
-_POOL: list[PacketBlock] = []
-#: Upper bound on retained blocks; enough for every ring in the largest
-#: chain scenario, small enough to be irrelevant memory-wise.
-POOL_MAX = 4096
-
-
-def acquire_block(
-    size: int,
-    flow_id: int,
-    src_mac: int,
-    dst_mac: int,
-    t_created: float,
-    count: int,
-    hops: int = 0,
-    seq0: int | None = None,
-    flows: tuple | None = None,
-) -> PacketBlock:
-    """Pooled block constructor: reuses a released block when available."""
-    if _POOL:
-        block = _POOL.pop()
-        if size < MIN_FRAME:
-            raise ValueError(f"frame size {size} below minimum {MIN_FRAME}")
-        if count < 1:
-            raise ValueError(f"block count must be >= 1, got {count}")
-        block.size = size
-        block.flow_id = flow_id
-        block.src_mac = src_mac
-        block.dst_mac = dst_mac
-        block.t_created = t_created
-        block.count = count
-        block.hops = hops
-        block.seq0 = take_seq_range(count) if seq0 is None else seq0
-        block.flows = flows
-        return block
-    return PacketBlock(size, flow_id, src_mac, dst_mac, t_created, count, hops, seq0, flows)
-
-
-def release_block(block: PacketBlock) -> None:
-    """Return a dead block to the free list (caller must drop its reference)."""
-    if len(_POOL) < POOL_MAX:
-        _POOL.append(block)
-
-
-def release_batch(batch: list) -> None:
-    """Recycle every block in a consumed batch (Packets pass through GC)."""
-    pool = _POOL
-    for item in batch:
-        if item.__class__ is PacketBlock and len(pool) < POOL_MAX:
-            pool.append(item)
-
-
-def pool_size() -> int:
-    """Current free-list occupancy (introspection for tests/benchmarks)."""
-    return len(_POOL)
-
-
 # -- emission mode ----------------------------------------------------------
 #
 # Traffic generators emit blocks whenever the stream is uniform.  Tests
@@ -410,11 +327,6 @@ _block_emission = True
 
 def blocks_enabled() -> bool:
     return _block_emission
-
-
-def set_block_emission(enabled: bool) -> None:
-    global _block_emission
-    _block_emission = bool(enabled)
 
 
 @contextmanager
@@ -473,4 +385,4 @@ def make_block(
     dst_mac: int = DEFAULT_DST_MAC,
 ) -> PacketBlock:
     """The flyweight equivalent of :func:`make_batch`: one object."""
-    return acquire_block(size, flow_id, DEFAULT_SRC_MAC, dst_mac, t_created, count)
+    return PacketBlock(size, flow_id, DEFAULT_SRC_MAC, dst_mac, t_created, count)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable
 
-from repro.core.packet import Packet, PacketBlock, _runs_split, flows_front, release_block
+from repro.core.packet import Packet, PacketBlock, _runs_split, flows_front
 
 
 class Ring:
@@ -89,8 +89,6 @@ class Ring:
             self.dropped += count
             if self.flowstats is not None:
                 self.flowstats.drop_item(item)
-            if item.__class__ is PacketBlock:
-                release_block(item)
             return False
         if count > free:
             self.dropped += count - free
@@ -159,9 +157,6 @@ class Ring:
         attribute the loss.
         """
         lost = self._frames
-        for item in self._queue:
-            if item.__class__ is PacketBlock:
-                release_block(item)
         self._queue.clear()
         self._frames = 0
         return lost
@@ -205,8 +200,6 @@ class DisconnectedRing(Ring):
         self.dropped += item.count
         if self.flowstats is not None:
             self.flowstats.drop_item(item)
-        if item.__class__ is PacketBlock:
-            release_block(item)
         return False
 
     def pop_batch(self, max_count: int) -> list[Packet | PacketBlock]:

@@ -800,7 +800,7 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
             push(heap, (t + delay_ns, seq, POLL, None))
             seq += 1
         elif kind == TICK:
-            # PacedSource._tick -> acquire_block -> gen0.send_batch.
+            # PacedSource._tick -> PacketBlock -> gen0.send_batch.
             blk_seq0 = pkt_seq
             pkt_seq += burst
             busy = t if t >= busy0 else busy0
@@ -1053,7 +1053,6 @@ def _actual_view(ctx: _Ctx) -> tuple:
 def _commit(ctx: _Ctx, st: _Snap) -> None:
     """Write the replayed mirror back into the live testbed."""
     import repro.core.packet as packet_mod
-    from repro.core.packet import release_block
 
     entries = []
     for time, seq, kind, payload in st.heap:
@@ -1084,8 +1083,6 @@ def _commit(ctx: _Ctx, st: _Snap) -> None:
     gen1.rx_packets = st.rx_gen1
 
     ring = ctx.ring
-    for block in ring._queue:
-        release_block(block)
     ring._queue.clear()
     ring._queue.extend(st.ringq)
     ring._frames = st.frames

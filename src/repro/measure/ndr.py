@@ -6,15 +6,6 @@ single packet drop caused at the driver level."  This module implements
 the classic binary search so that claim is testable: for jittery switches
 the strict-NDR estimate sits far below the average forwarding rate R+
 and varies wildly across seeds, while R+ (the paper's choice) is stable.
-
-``seed_from_model=True`` skips the expensive top of the search tree: the
-closed-form capacity model (:func:`repro.analysis.bottleneck.estimate`)
-predicts which dyadic bracket the search would land in, two trials verify
-the bracket edges, and the binary search resumes *inside* it -- visiting
-exactly the midpoints the unseeded search would have visited from that
-depth on, so (under the monotone-loss assumption the verification trials
-check) the returned ``ndr_pps`` is bit-identical with fewer trials.  A
-failed verification falls back to the full unseeded search.
 """
 
 from __future__ import annotations
@@ -86,45 +77,6 @@ def measure_loss(
     return max(0.0, 1.0 - received / offered)
 
 
-def _model_bracket(
-    switch_name: str,
-    scenario: str,
-    frame_size: int,
-    line: float,
-    iterations: int,
-    margin: float,
-    bidirectional: bool,
-) -> tuple[float, float, int]:
-    """Descend the unseeded search tree toward the model's capacity estimate.
-
-    Replays the *exact* float recurrence ``mid = (low + high) / 2`` the
-    binary search performs, branching toward the closed-form prediction,
-    so the returned bracket edges are bit-identical to the values the
-    unseeded search would hold at that depth.  Stops descending when the
-    next split point is within ``margin`` (relative) of the prediction --
-    the closed form is not trusted to that precision -- or when fewer
-    than two refinement steps would remain.
-    """
-    from repro.analysis.bottleneck import estimate
-
-    predicted = estimate(
-        switch_name, scenario, frame_size=frame_size, bidirectional=bidirectional
-    ).predicted_pps
-    low, high = 0.0, line
-    depth = 0
-    max_depth = iterations - 2
-    while depth < max_depth:
-        mid = (low + high) / 2
-        if abs(predicted - mid) < margin * predicted:
-            break
-        if predicted >= mid:
-            low = mid
-        else:
-            high = mid
-        depth += 1
-    return low, high, depth
-
-
 def _bootstrap_ndr_ci(
     trial_records: list[tuple[float, tuple[float, ...]]],
     loss_threshold: float,
@@ -174,9 +126,6 @@ def ndr_search(
     warmup_ns: float = DEFAULT_WARMUP_NS,
     measure_ns: float = DEFAULT_MEASURE_NS,
     seed: int = 1,
-    seed_from_model: bool = False,
-    scenario: str = "p2p",
-    model_margin: float = 0.1,
     trials: int = 1,
     loss_percentile: float = 50.0,
     ci_level: float = 0.95,
@@ -193,23 +142,13 @@ def ndr_search(
     loss, which is precisely the non-determinism the paper's footnote 3
     blames for NDR's unreliability on software testbeds.
 
-    With ``seed_from_model=True`` the top of the search tree is replaced
-    by the closed-form capacity model: the predicted dyadic bracket is
-    verified with (at most) two trials -- the lower edge must carry, the
-    upper edge must drop -- and refinement continues inside it.  Loss is
-    monotone in offered rate exactly when those two trials imply every
-    skipped decision, so a verified bracket yields the bit-identical
-    ``ndr_pps`` in fewer trials; a failed verification falls back to the
-    full unseeded search (correct for jittery, non-monotone switches).
-
     ``trials > 1`` enables the percentile-PDR mode (PASTRAMI-style,
     ``repro.measure.soundness``): every visited rate is measured once
     per soundness trial and carries when the ``loss_percentile``-th
     percentile of its per-trial losses stays under tolerance, making the
     NDR a statement about the loss *distribution* instead of one lucky
-    draw.  The model-seeded bracket works unchanged (each bracket probe
-    just costs ``trials`` measurements), and the result carries per-rate
-    trial records plus a bootstrap CI for the NDR.  ``trials=1`` is the
+    draw.  The result carries per-rate trial records plus a bootstrap CI
+    for the NDR.  ``trials=1`` is the
     classic search, bit-identical to the pre-soundness implementation.
     """
     if iterations < 1:
@@ -266,25 +205,7 @@ def ndr_search(
                 high = mid
         return best
 
-    seeded = False
-    best = 0.0
-    if seed_from_model:
-        try:
-            s_low, s_high, depth = _model_bracket(
-                switch_name, scenario, frame_size, line, iterations,
-                model_margin, bool(build_kwargs.get("bidirectional", False)),
-            )
-        except Exception:
-            depth = 0
-        if depth > 0:
-            verified = (s_low == 0.0 or carries(s_low)) and (
-                s_high >= line or not carries(s_high)
-            )
-            if verified:
-                seeded = True
-                best = refine(s_low, s_high, s_low, iterations - depth)
-    if not seeded:
-        best = refine(0.0, line, 0.0, iterations)
+    best = refine(0.0, line, 0.0, iterations)
     ci = None
     if trials > 1 and trial_records:
         ci = _bootstrap_ndr_ci(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.packet import Packet, PacketBlock, release_block, select_flows
+from repro.core.packet import Packet, PacketBlock, select_flows
 from repro.core.ring import Ring
 from repro.core.units import LINE_RATE_BPS, wire_time_ns
 
@@ -305,8 +305,6 @@ class NicPort:
                         arrivals.append((item, busy))
                         sent_frames += accepted
                         sent_bytes += size * accepted
-                    else:
-                        release_block(item)
                     continue
                 accepted = 0
                 for i in range(index, index + count):
@@ -336,8 +334,6 @@ class NicPort:
                     arrivals.append((item, busy))
                     sent_frames += accepted
                     sent_bytes += size * accepted
-                else:
-                    release_block(item)
                 continue
             packet = item
             if prob > 0.0:
@@ -404,10 +400,6 @@ class NicPort:
 
     # -- fault hooks (repro.faults) ----------------------------------------
 
-    @property
-    def link_up(self) -> bool:
-        return "send_batch" not in self.__dict__
-
     def link_down(self) -> None:
         """Carrier loss: frames handed to this port during the flap vanish.
 
@@ -425,8 +417,6 @@ class NicPort:
                 frames += item.count
                 if self.flowstats is not None:
                     self.flowstats.drop_item(item)
-                if item.__class__ is PacketBlock:
-                    release_block(item)
             self.tx_dropped += frames
             return 0
 

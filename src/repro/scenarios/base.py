@@ -49,10 +49,6 @@ class Testbed:
     #: scenario-specific objects (NIC ports, guest apps...) for tests.
     extras: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def aggregate_gbps_parts(self) -> list[float]:
-        return [meter.gbps() for meter in self.meters]
-
 
 def new_testbed_parts(switch_name: str, seed: int) -> tuple[Simulator, Machine, RngRegistry, SoftwareSwitch, Core]:
     """Simulator + machine + switch pinned to the node-0 SUT core."""

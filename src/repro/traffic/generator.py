@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.packet import Packet, PacketBlock, acquire_block, blocks_enabled
+from repro.core.packet import Packet, PacketBlock, blocks_enabled
 from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC
 
 if TYPE_CHECKING:
@@ -152,7 +152,7 @@ class PacedSource:
             burst -= 1
         if burst > 0:
             batch.append(
-                acquire_block(
+                PacketBlock(
                     self.frame_size,
                     self.flow_id,
                     DEFAULT_SRC_MAC,
@@ -221,7 +221,7 @@ class PacedSource:
             runs.append((base + rank, count))
             first_flow = runs[0][0]
             batch.append(
-                acquire_block(
+                PacketBlock(
                     size,
                     first_flow,
                     DEFAULT_SRC_MAC + first_flow,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.packet import Packet, PacketBlock, batch_stats, release_block
+from repro.core.packet import Packet, PacketBlock, batch_stats
 from repro.core.ring import Ring
 from repro.core.stats import RateMeter
 from repro.cpu.cores import Core
@@ -102,9 +102,8 @@ class GuestMonitor:
         )
         for item in batch:
             if item.__class__ is PacketBlock:
-                # Monitor is a terminal consumer: count and recycle.
+                # Monitor is a terminal consumer: one add per block.
                 meter.record_block(now, item.size, item.count)
-                release_block(item)
                 continue
             meter.record(now, item.size)
             if item.is_probe:

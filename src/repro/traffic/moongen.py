@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.packet import Packet, PacketBlock, release_block
+from repro.core.packet import Packet, PacketBlock
 from repro.core.stats import RateMeter
 from repro.core.units import LINE_RATE_BPS, gbps_to_pps, line_rate_pps, pps_to_gbps
 from repro.nic.port import NicPort
@@ -79,10 +79,8 @@ class MoonGenRx:
         )
         for item in packets:
             if item.__class__ is PacketBlock:
-                # Hardware counter read: one add per block of frames, then
-                # the block's journey ends here (recycle it).
+                # Hardware counter read: one add per block of frames.
                 meter.record_block(now, item.size, item.count)
-                release_block(item)
                 continue
             meter.record(now, item.size)
             if in_window and item.is_probe and item.latency_ns is not None:

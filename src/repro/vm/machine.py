@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.packet import PacketBlock, release_block
 from repro.cpu.cores import Core
 from repro.vif.virtio import VirtualInterface
 
@@ -75,8 +74,6 @@ class VirtualMachine:
                 if buf:
                     for item in buf:
                         lost += item.count
-                        if item.__class__ is PacketBlock:
-                            release_block(item)
                     buf.clear()
                     task._tx_frames = 0
         return lost

@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.packet import PacketBlock, flows_front, make_block, release_batch, release_block
+from repro.core.packet import flows_front, make_block
 from repro.core.ring import Ring
 from repro.measure.runner import drive
 from repro.measure.flowreport import flow_report
@@ -80,8 +80,6 @@ class _SeedRing(Ring):
         free = self.capacity - self._frames
         if free <= 0:
             self.dropped += count
-            if item.__class__ is PacketBlock:
-                release_block(item)
             return False
         if count > free:
             self.dropped += count - free
@@ -105,7 +103,7 @@ def _ring_drop_path_opcodes(ring, n_rounds=500) -> int:
         for _ in range(n_rounds):
             ring.push(make_block(48, 64, 0.0))
             ring.push(make_block(48, 64, 0.0))
-            release_batch(ring.pop_batch(64))
+            ring.pop_batch(64)
 
     cls = type(ring)
     return count_opcodes(rounds, (cls.push.__code__, cls.pop_batch.__code__))

@@ -82,65 +82,3 @@ def test_ndr_result_fields():
     assert result.frame_size == 64
     assert result.ndr_mpps == pytest.approx(result.ndr_pps / 1e6)
 
-
-class TestModelSeededSearch:
-    """seed_from_model=True: the closed form replaces the top of the tree.
-
-    The one-burst tolerance (64 packets) absorbs the window-edge
-    artifacts that make strict loss non-monotone (footnote 3), so the
-    two bracket-verification trials imply every skipped decision and the
-    seeded search must return the bit-identical ndr_pps in fewer trials.
-    These use the production windows: the seeded/unseeded contract is
-    about the search tree, not the measurement noise, and the warp keeps
-    them cheap.
-    """
-
-    TOLERANT = dict(tolerance_packets=64.0)
-
-    @pytest.mark.parametrize("switch", ["vpp", "ovs-dpdk"])
-    def test_seeded_is_bit_identical_with_fewer_trials(self, switch):
-        plain = ndr_search(p2p.build, switch, 64, **self.TOLERANT)
-        seeded = ndr_search(
-            p2p.build, switch, 64, seed_from_model=True, **self.TOLERANT
-        )
-        assert repr(seeded.ndr_pps) == repr(plain.ndr_pps)
-        assert len(seeded.trials) < len(plain.trials)
-        assert seeded.iterations == plain.iterations == 10
-
-    def test_seeded_trials_are_a_suffix_of_the_unseeded_tree(self):
-        """After the two verification trials, the seeded search visits
-        exactly the midpoints the unseeded search visited from that
-        depth on (the dyadic recurrence is replayed bit-exactly)."""
-        plain = ndr_search(p2p.build, "vpp", 64, **self.TOLERANT)
-        seeded = ndr_search(
-            p2p.build, "vpp", 64, seed_from_model=True, **self.TOLERANT
-        )
-        refine_rates = [rate for rate, _ in seeded.trials[2:]]
-        plain_rates = [rate for rate, _ in plain.trials]
-        assert refine_rates == plain_rates[-len(refine_rates):]
-
-    def test_unhelpful_model_falls_back_to_full_search(self):
-        """t4p4s saturates far below any dyadic split the margin would
-        accept, so the bracket descent stops at depth 0 and the seeded
-        search degenerates to the plain one (identical trials)."""
-        plain = ndr_search(p2p.build, "t4p4s", 64, **self.TOLERANT)
-        seeded = ndr_search(
-            p2p.build, "t4p4s", 64, seed_from_model=True, **self.TOLERANT
-        )
-        assert repr(seeded.ndr_pps) == repr(plain.ndr_pps)
-        assert seeded.trials == plain.trials
-
-    def test_broken_model_is_survivable(self, monkeypatch):
-        """An exception inside the closed form must not sink the search."""
-        import repro.analysis.bottleneck as bottleneck
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("no estimate for you")
-
-        monkeypatch.setattr(bottleneck, "estimate", boom)
-        plain = ndr_search(p2p.build, "vpp", 64, **self.TOLERANT)
-        seeded = ndr_search(
-            p2p.build, "vpp", 64, seed_from_model=True, **self.TOLERANT
-        )
-        assert repr(seeded.ndr_pps) == repr(plain.ndr_pps)
-        assert seeded.trials == plain.trials

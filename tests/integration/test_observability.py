@@ -221,12 +221,12 @@ def test_disabled_observability_dispatch_overhead_under_5_percent():
 
 
 def _ring_push_pop_opcodes(ring, n_rounds=500) -> int:
-    from repro.core.packet import make_block, release_batch
+    from repro.core.packet import make_block
 
     def rounds() -> None:
         for _ in range(n_rounds):
             ring.push(make_block(32, 64, 0.0))
-            release_batch(ring.pop_batch(32))
+            ring.pop_batch(32)
 
     cls = type(ring)
     return count_opcodes(rounds, (cls.push.__code__, cls.pop_batch.__code__))

@@ -52,7 +52,7 @@ def test_hops_counter_starts_at_zero():
     assert Packet().hops == 0
 
 
-# -- flyweight blocks and the free list -------------------------------------
+# -- flyweight blocks -------------------------------------------------------
 
 
 def test_block_reserves_a_contiguous_seq_range():
@@ -85,47 +85,26 @@ def test_block_split_keeps_fifo_seq_order():
     assert (block.count, block.seq0) == (5, seq0 + 3)
 
 
-def test_block_merge_requires_contiguity_and_matching_template():
+def test_block_constructor_validates_size_and_count():
     from repro.core.packet import PacketBlock
 
-    a = PacketBlock(count=4)
-    b = PacketBlock(count=2)
-    assert a.merge(b)  # b immediately follows a's seq range
-    assert a.count == 6
-    c = PacketBlock(count=2, flow_id=9)
-    assert not a.merge(c)  # template mismatch
-    Packet()  # burn one seq: the next block is no longer contiguous
-    d = PacketBlock(count=1)
-    assert not a.merge(d)
-
-
-def test_release_block_recycles_the_object():
-    from repro.core.packet import acquire_block, release_block
-
-    block = acquire_block(64, 0, 1, 2, 0.0, 8)
-    release_block(block)
-    again = acquire_block(256, 7, 3, 4, 9.0, 2)
-    assert again is block
-    assert (again.size, again.flow_id, again.count, again.t_created) == (256, 7, 2, 9.0)
-
-
-def test_release_batch_recycles_blocks_but_not_packets():
-    from repro.core.packet import make_block, pool_size, release_batch
-
-    block = make_block(4, 64, 0.0)
-    before = pool_size()
-    release_batch([Packet(), block, Packet()])
-    assert pool_size() == before + 1
-
-
-def test_pooled_acquire_still_validates():
-    from repro.core.packet import acquire_block, release_block
-
-    release_block(acquire_block(64, 0, 1, 2, 0.0, 1))
     with pytest.raises(ValueError):
-        acquire_block(60, 0, 1, 2, 0.0, 1)
+        PacketBlock(size=60)
     with pytest.raises(ValueError):
-        acquire_block(64, 0, 1, 2, 0.0, 0)
+        PacketBlock(count=0)
+
+
+def test_block_dropped_by_a_full_ring_keeps_its_fields():
+    from repro.core.packet import make_block
+    from repro.core.ring import Ring
+
+    ring = Ring(8)
+    ring.push(make_block(8, 64, 0.0))
+    held = make_block(4, 128, 5.0, flow_id=3)
+    assert not ring.push(held)
+    fresh = make_block(2, 256, 9.0, flow_id=7)
+    assert (held.size, held.count, held.flow_id, held.t_created) == (128, 4, 3, 5.0)
+    assert fresh is not held
 
 
 def test_per_packet_emission_context_restores_mode():

@@ -217,6 +217,34 @@ def test_warp_engages_under_saturating_input():
     assert result.warp is not None and result.warp.engaged
 
 
+@pytest.mark.parametrize("rate_pps", [3e6, None], ids=["3mpps", "saturating"])
+@pytest.mark.parametrize("switch", REPLAY_SWITCHES)
+def test_replay_matches_dispatch_under_frequent_driver_hiccups(switch, rate_pps):
+    # At the default 1e-4 a hiccup seldom lands inside the replayed span.
+    # At 2e-2 both wires drop frames there, so the replay's flagged-burst
+    # paths (generator side and SUT side) run, and with warp off
+    # send_batch drops whole blocks.
+    runs = []
+    for warp in (False, True):
+        tb = p2p.build(switch, frame_size=64, rate_pps=rate_pps, seed=5)
+        ports = tb.extras["gen_ports"] + tb.extras["sut_ports"]
+        for port in ports:
+            port.driver_drop_prob = 2e-2
+        result = _drive(tb, warp=warp)
+        drops = {port.name: port.driver_drops for port in ports}
+        runs.append((result, state_fingerprint(tb), drops))
+    (off, off_state, _), (on, on_state, drops) = runs
+    assert on.warp is not None and on.warp.engaged and on.warp.mode == "replay", (
+        on.warp.describe()
+    )
+    assert on_state == off_state
+    assert [repr(v) for v in on.per_direction_gbps] == [
+        repr(v) for v in off.per_direction_gbps
+    ]
+    assert on.events == off.events
+    assert drops["gen-nic.p0"] > 0 and drops["sut-nic.p1"] > 0
+
+
 # -- automatic declines ------------------------------------------------------
 
 
