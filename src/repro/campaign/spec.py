@@ -61,8 +61,8 @@ class RunSpec:
     faults: tuple[tuple, ...] = ()
     #: trial index on the soundness repeat axis (``repro.measure.
     #: soundness``): 0 is the unperturbed base run; k > 0 perturbs
-    #: traffic phase / hiccup hash / churn offset through ``trial.*``
-    #: RNG streams while keeping the workload identical.  0 is omitted
+    #: traffic phase / driver-drop schedule / churn offset through
+    #: ``trial.*`` RNG streams while keeping the workload identical.  0 is omitted
     #: from :meth:`to_dict` so single-trial cache keys and stored
     #: records stay valid.
     trial: int = 0
@@ -323,7 +323,7 @@ class CampaignSpec:
 
         ``trial`` replicas keep the workload definition identical and
         perturb only measurement-irrelevant phases (traffic start phase,
-        driver-hiccup hash, churn offset) through dedicated ``trial.*``
+        driver-drop schedule, churn offset) through dedicated ``trial.*``
         RNG streams -- the distribution they produce is measurement
         noise, not workload variation.  ``seed_policy="reseed"`` falls
         back to :meth:`with_repeats`.

@@ -36,10 +36,12 @@ Safety model
   mismatch the warp declines; the real run was only ever advanced by
   real dispatch, so nothing can be corrupted.
 
-The driver-hiccup hash (:func:`repro.nic.port._hiccup_base`) makes rare
-per-frame drops data-dependent; the replay prescans the whole span's
-burst timestamps with a vectorised FNV-1a fold and routes the few
-flagged bursts through the exact per-frame loop.
+Sporadic driver drops follow each port's drop schedule (see
+:mod:`repro.nic.port`): the replay mirrors the two integers of each
+sending port's schedule, so a burst is clean iff
+``offered + count <= next_drop``, and the few bursts holding a drop take
+an exact per-frame loop that draws the next gap with the port's own
+:func:`~repro.nic.port._drop_gap`.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, Packet, PacketBl
 from repro.core.ring import Ring
 from repro.core.units import wire_time_ns
 from repro.cpu.cores import Core
-from repro.nic.port import _FNV_PRIME, NicPort, _hiccup_limit
+from repro.nic.port import NicPort, _drop_gap
 from repro.switches.base import PhyAttachment, SoftwareSwitch
 from repro.traffic.generator import PacedSource
 
@@ -72,13 +74,12 @@ if TYPE_CHECKING:
 #: (revision 1 replayed trial k > 0 with the unsalted one).
 #: 3: verification starts at the run's first event and the replay covers
 #: the warm-up, so short windows behind a long warm-up engage.
-WARP_VERSION = 3
+#: 4: driver drops follow each port's drop schedule, not a per-frame hash.
+WARP_VERSION = 4
 
 #: Smallest shadow-verification slice.  Must cover several jitter
 #: resample periods so the RNG-clone replay is actually exercised.
 MIN_VERIFY_NS = 250_000.0
-
-_M32 = 0xFFFFFFFF
 
 
 def _env_switch(name: str, default: bool) -> bool:
@@ -219,9 +220,9 @@ class _Ctx:
         "gen0", "gen1", "sut0", "sut1",
         "frame_size", "flow_id", "burst", "gap",
         "wire0", "wire1", "maxb0", "maxb1", "prob0", "prob1",
-        "nh0", "nh1", "pcie", "freq", "idle_loop_cycles",
+        "key0", "key1", "pcie", "freq", "idle_loop_cycles",
         "batch_size", "batch_wait", "cap",
-        "rx_cost", "tx_cost", "flags0", "flags1",
+        "rx_cost", "tx_cost",
     )
 
 
@@ -363,8 +364,8 @@ def _eligibility(tb: "Testbed") -> _Ctx:
     ctx.maxb1 = sut1.tx_slots * ctx.wire1
     ctx.prob0 = gen0.driver_drop_prob
     ctx.prob1 = sut1.driver_drop_prob
-    ctx.nh0 = gen0._name_hash
-    ctx.nh1 = sut1._name_hash
+    ctx.key0 = gen0._drop_key
+    ctx.key1 = sut1._drop_key
     ctx.pcie = sut0.pcie_latency_ns
     ctx.freq = core.freq_hz
     ctx.idle_loop_cycles = core.idle_loop_cycles
@@ -373,8 +374,6 @@ def _eligibility(tb: "Testbed") -> _Ctx:
     ctx.cap = ring.capacity
     ctx.rx_cost = path.input.rx_cost(params)
     ctx.tx_cost = path.output.tx_cost(params)
-    ctx.flags0 = {}
-    ctx.flags1 = {}
     return ctx
 
 
@@ -386,8 +385,8 @@ class _Snap:
 
     __slots__ = (
         "now", "seq", "events", "pkt_seq",
-        "busy0", "txp0", "txb0", "txd0", "dd0", "rx_sut0",
-        "busy1", "txp1", "txb1", "txd1", "dd1", "rx_gen1",
+        "busy0", "txp0", "txb0", "txd0", "dd0", "off0", "nd0", "rx_sut0",
+        "busy1", "txp1", "txb1", "txd1", "dd1", "off1", "nd1", "rx_gen1",
         "ringq", "frames", "enq", "drop",
         "busy_ns", "idle_streak", "idle_cc", "idle_cd",
         "forwarded", "total_fwd", "wait_started",
@@ -425,10 +424,12 @@ def _snapshot(ctx: _Ctx) -> _Snap:
     st.busy0 = gen0._tx_busy_until_ns
     st.txp0, st.txb0 = gen0.tx_packets, gen0.tx_bytes
     st.txd0, st.dd0 = gen0.tx_dropped, gen0.driver_drops
+    st.off0, st.nd0 = gen0._offered, gen0._next_drop
     st.rx_sut0 = sut0.rx_packets
     st.busy1 = sut1._tx_busy_until_ns
     st.txp1, st.txb1 = sut1.tx_packets, sut1.tx_bytes
     st.txd1, st.dd1 = sut1.tx_dropped, sut1.driver_drops
+    st.off1, st.nd1 = sut1._offered, sut1._next_drop
     st.rx_gen1 = gen1.rx_packets
     ring = ctx.ring
     st.ringq = deque(_mirror_block(ctx, b, 0) for b in ring._queue)
@@ -500,73 +501,6 @@ def _snapshot(ctx: _Ctx) -> _Snap:
     heap.sort(key=lambda entry: (entry[0], entry[1]))
     st.heap = heap
     return st
-
-
-# -- driver-hiccup prescan --------------------------------------------------
-
-
-def _prescan(ctx: _Ctx, st: _Snap, t_end: float) -> None:
-    """Vectorised FNV-1a sweep flagging (burst timestamp, frame index)
-    pairs the per-frame hiccup hash will drop.
-
-    Burst timestamps are fully predetermined: the pacing chain advances
-    by the same repeated float addition the replay performs, and every
-    block already in flight carries its ``t_created``.  The integer
-    arithmetic matches the scalar path bit for bit, so there are no
-    false negatives; a flagged timestamp merely routes that burst
-    through the exact per-frame loop.
-    """
-    ctx.flags0 = {}
-    ctx.flags1 = {}
-    t_ints: set[int] = set()
-    tick_time = None
-    for time, _seq, kind, payload in st.heap:
-        if kind in (ARR0, ARR1):
-            for block, _busy in payload:
-                t_ints.add(int(block.t_created))
-        elif kind in (PUSH, DLV):
-            for block in payload:
-                t_ints.add(int(block.t_created))
-        elif kind == TICK:
-            tick_time = time
-    for block in st.ringq:
-        t_ints.add(int(block.t_created))
-    # Pending tick chain: exact float accumulation, as the replay performs.
-    t = tick_time
-    gap = ctx.gap
-    while t <= t_end:
-        t_ints.add(int(t))
-        t += gap
-
-    if not t_ints:
-        return
-    arr = np.fromiter(t_ints, dtype=np.uint64, count=len(t_ints))
-    prime = np.uint64(_FNV_PRIME)
-    mask32 = np.uint64(_M32)
-    size = np.uint64(ctx.frame_size & _M32)
-    flow = np.uint64(ctx.flow_id & _M32)
-    for name_hash, hops, max_index, prob, flags in (
-        (ctx.nh0, 0, ctx.burst, ctx.prob0, ctx.flags0),
-        (ctx.nh1, 1, ctx.batch_size, ctx.prob1, ctx.flags1),
-    ):
-        if prob <= 0.0:
-            continue
-        base = (np.uint64(name_hash) ^ (arr & mask32)) * prime
-        base = (base ^ size) * prime
-        base = (base ^ flow) * prime
-        base = (base ^ np.uint64(hops & _M32)) * prime
-        idx = np.arange(max_index, dtype=np.uint64)
-        limit = np.uint64(_hiccup_limit(prob))
-        # Chunk the (timestamps x frame-index) matrix to bound memory on
-        # long horizons (300 ms x 256-frame batches would be ~300 MB flat):
-        # at most 16K uint64 elements, 128 KB, per temporary.
-        step = max(1, (1 << 14) // max_index)
-        for lo in range(0, len(base), step):
-            chunk = base[lo:lo + step]
-            values = (chunk[:, None] ^ idx[None, :]) * prime
-            hit = (values >> np.uint64(11)) < limit
-            for row, col in zip(*np.nonzero(hit)):
-                flags.setdefault(int(arr[lo + int(row)]), []).append(int(col))
 
 
 # -- switch backends --------------------------------------------------------
@@ -648,6 +582,34 @@ def _clone_backend(ctx: _Ctx) -> _Backend:
 # -- the replay loop --------------------------------------------------------
 
 
+def _send_frames(
+    count: int, busy: float, t: float, wire: float, maxb: float,
+    off: int, nd: float, dd: int, txd: int, key: int, prob: float,
+) -> tuple:
+    """``NicPort.send_batch``'s per-frame loop over one block, on mirrored
+    port registers: returns ``(accepted, busy, off, nd, dd, txd)``."""
+    accepted = 0
+    i = 0
+    while i < count:
+        if off == nd:
+            dd += 1
+            nd = off + _drop_gap(key, dd, prob)
+        elif busy - t > maxb:
+            if off + (count - i) <= nd:
+                # busy no longer advances and no drop is due: the backlog
+                # refuses the whole tail.
+                txd += count - i
+                off += count - i
+                break
+            txd += 1
+        else:
+            busy = busy + wire
+            accepted += 1
+        off += 1
+        i += 1
+    return accepted, busy, off, nd, dd, txd
+
+
 def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
     """Evolve the mirror through every event with ``time <= t_end``.
 
@@ -671,8 +633,8 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
     rx_cost, tx_cost = ctx.rx_cost, ctx.tx_cost
     rx_pb, rx_pp, rx_pby = rx_cost.per_batch, rx_cost.per_packet, rx_cost.per_byte
     tx_pb, tx_pp, tx_pby = tx_cost.per_batch, tx_cost.per_packet, tx_cost.per_byte
-    flags0_get = ctx.flags0.get
-    flags1_get = ctx.flags1.get
+    key0, key1 = ctx.key0, ctx.key1
+    prob0, prob1 = ctx.prob0, ctx.prob1
     sw_proc = backend.sw._proc_cycles
     sw_forward = backend.sw._on_forward
     path = backend.path
@@ -691,6 +653,7 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
     busy0, busy1 = st.busy0, st.busy1
     txp0, txb0, txd0, dd0 = st.txp0, st.txb0, st.txd0, st.dd0
     txp1, txb1, txd1, dd1 = st.txp1, st.txb1, st.txd1, st.dd1
+    off0, nd0, off1, nd1 = st.off0, st.nd0, st.off1, st.nd1
     rx_sut0, rx_gen1 = st.rx_sut0, st.rx_gen1
     ringq = st.ringq
     ring_frames, enq, drop = st.frames, st.enq, st.drop
@@ -804,48 +767,23 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
             blk_seq0 = pkt_seq
             pkt_seq += burst
             busy = t if t >= busy0 else busy0
-            ti = int(t)
-            if flags0_get(ti) is None and (busy - t) + burst * wire0 <= maxb0:
+            if off0 + burst <= nd0 and (busy - t) + burst * wire0 <= maxb0:
                 for _ in range(burst):
                     busy += wire0
+                off0 += burst
+                accepted = burst
+            else:
+                accepted, busy, off0, nd0, dd0, txd0 = _send_frames(
+                    burst, busy, t, wire0, maxb0, off0, nd0, dd0, txd0, key0, prob0
+                )
+            if accepted:
                 block = block_cls(
-                    fs, flow, DEFAULT_SRC_MAC, DEFAULT_DST_MAC, t, burst, 0, blk_seq0
+                    fs, flow, DEFAULT_SRC_MAC, DEFAULT_DST_MAC, t, accepted, 0, blk_seq0
                 )
                 push(heap, (busy, seq, ARR0, [(block, busy)]))
                 seq += 1
-                txp0 += burst
-                txb0 += fs * burst
-            else:
-                # Slow path: the prescan's flag list IS the exact set of
-                # hash-hit indices, so per-frame hashing is unnecessary;
-                # once the wire backlog rejects, it rejects the whole
-                # un-flagged tail (busy no longer advances).
-                flagged = flags0_get(ti)
-                accepted = 0
-                i = 0
-                while i < burst:
-                    if flagged is not None and i in flagged:
-                        dd0 += 1
-                        i += 1
-                        continue
-                    if busy - t > maxb0:
-                        if flagged is None:
-                            txd0 += burst - i
-                            break
-                        txd0 += 1
-                        i += 1
-                        continue
-                    busy = busy + wire0
-                    accepted += 1
-                    i += 1
-                if accepted:
-                    block = block_cls(
-                        fs, flow, DEFAULT_SRC_MAC, DEFAULT_DST_MAC, t, accepted, 0, blk_seq0
-                    )
-                    push(heap, (busy, seq, ARR0, [(block, busy)]))
-                    seq += 1
-                    txp0 += accepted
-                    txb0 += fs * accepted
+                txp0 += accepted
+                txb0 += fs * accepted
             busy0 = busy
             packets_sent += burst
             push(heap, (t + gap, seq, TICK, None))
@@ -880,45 +818,19 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
             # sut1.send_batch: serialise the forwarded batch onto the wire.
             batch = entry[3]
             busy = t if t >= busy1 else busy1
-            index = 0
             sent_f = 0
             arrivals = []
             for b in batch:
                 c = b.count
-                ti = int(b.t_created)
-                flagged = flags1_get(ti)
-                fast = flagged is None
-                if not fast:
-                    iend = index + c
-                    fast = True
-                    for i in flagged:
-                        if index <= i < iend:
-                            fast = False
-                            break
-                if fast and (busy - t) + c * wire1 <= maxb1:
+                if off1 + c <= nd1 and (busy - t) + c * wire1 <= maxb1:
                     for _ in range(c):
                         busy += wire1
+                    off1 += c
                     accepted = c
                 else:
-                    accepted = 0
-                    i = index
-                    iend = index + c
-                    while i < iend:
-                        if flagged is not None and i in flagged:
-                            dd1 += 1
-                            i += 1
-                            continue
-                        if busy - t > maxb1:
-                            if flagged is None:
-                                txd1 += iend - i
-                                break
-                            txd1 += 1
-                            i += 1
-                            continue
-                        busy = busy + wire1
-                        accepted += 1
-                        i += 1
-                index += c
+                    accepted, busy, off1, nd1, dd1, txd1 = _send_frames(
+                        c, busy, t, wire1, maxb1, off1, nd1, dd1, txd1, key1, prob1
+                    )
                 if accepted:
                     if accepted != c:
                         b.count = accepted
@@ -954,6 +866,7 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
     st.busy0, st.busy1 = busy0, busy1
     st.txp0, st.txb0, st.txd0, st.dd0 = txp0, txb0, txd0, dd0
     st.txp1, st.txb1, st.txd1, st.dd1 = txp1, txb1, txd1, dd1
+    st.off0, st.nd0, st.off1, st.nd1 = off0, nd0, off1, nd1
     st.rx_sut0, st.rx_gen1 = rx_sut0, rx_gen1
     st.frames, st.enq, st.drop = ring_frames, enq, drop
     st.busy_ns, st.idle_streak = busy_ns, idle_streak
@@ -1025,8 +938,8 @@ def _canon_heap(heap_entries) -> tuple:
 def _state_view(st: _Snap, sw: SoftwareSwitch, jitter) -> tuple:
     return (
         repr(st.now), st.seq, st.events, st.pkt_seq,
-        (repr(st.busy0), st.txp0, st.txb0, st.txd0, st.dd0, st.rx_sut0),
-        (repr(st.busy1), st.txp1, st.txb1, st.txd1, st.dd1, st.rx_gen1),
+        (repr(st.busy0), st.txp0, st.txb0, st.txd0, st.dd0, st.off0, st.nd0, st.rx_sut0),
+        (repr(st.busy1), st.txp1, st.txb1, st.txd1, st.dd1, st.off1, st.nd1, st.rx_gen1),
         (_canon_blocks(st.ringq), st.frames, st.enq, st.drop),
         (repr(st.busy_ns), st.idle_streak, st.idle_cc, repr(st.idle_cd)),
         (st.forwarded, st.total_fwd, repr(st.wait_started)),
@@ -1035,16 +948,6 @@ def _state_view(st: _Snap, sw: SoftwareSwitch, jitter) -> tuple:
         _switch_view(sw, jitter),
         _canon_heap(st.heap),
     )
-
-
-def _predicted_view(ctx: _Ctx, st: _Snap, backend: _Backend) -> tuple:
-    return _state_view(st, backend.sw, backend.jitter)
-
-
-def _actual_view(ctx: _Ctx) -> tuple:
-    """The live testbed rendered through the same canonicaliser."""
-    st = _snapshot(ctx)  # re-parses the live heap; raises _Decline on surprises
-    return _state_view(st, ctx.sw, ctx.path.jitter)
 
 
 # -- commit -----------------------------------------------------------------
@@ -1076,10 +979,12 @@ def _commit(ctx: _Ctx, st: _Snap) -> None:
     gen0._tx_busy_until_ns = st.busy0
     gen0.tx_packets, gen0.tx_bytes = st.txp0, st.txb0
     gen0.tx_dropped, gen0.driver_drops = st.txd0, st.dd0
+    gen0._offered, gen0._next_drop = st.off0, st.nd0
     sut0.rx_packets = st.rx_sut0
     sut1._tx_busy_until_ns = st.busy1
     sut1.tx_packets, sut1.tx_bytes = st.txp1, st.txb1
     sut1.tx_dropped, sut1.driver_drops = st.txd1, st.dd1
+    sut1._offered, sut1._next_drop = st.off1, st.nd1
     gen1.rx_packets = st.rx_gen1
 
     ring = ctx.ring
@@ -1133,7 +1038,6 @@ def try_warp(tb: "Testbed", t_close: float) -> WarpReport:
 
     try:
         st0 = _snapshot(ctx)
-        _prescan(ctx, st0, t_verify)
         shadow = _clone_backend(ctx)
         _replay(ctx, st0, shadow, t_verify)
     except _Decline as decline:
@@ -1141,22 +1045,17 @@ def try_warp(tb: "Testbed", t_close: float) -> WarpReport:
     # run_until clamps the clock to its horizon; mirror that before diffing.
     if st0.now < t_verify:
         st0.now = t_verify
-    predicted = _predicted_view(ctx, st0, shadow)
+    predicted = _state_view(st0, shadow.sw, shadow.jitter)
 
     sim.run_until(t_verify)
     try:
-        actual = _actual_view(ctx)
+        st1 = _snapshot(ctx)  # re-parses the live heap
     except _Decline as decline:
         return WarpReport(engaged=False, reason=decline.reason)
-    if predicted != actual:
+    if _state_view(st1, ctx.sw, ctx.path.jitter) != predicted:
         return WarpReport(engaged=False, reason="verify-mismatch", verify_ns=verify_ns)
 
-    try:
-        st1 = _snapshot(ctx)
-        _prescan(ctx, st1, t_close)
-        replayed = _replay(ctx, st1, _real_backend(ctx), t_close)
-    except _Decline as decline:  # pragma: no cover - structure just verified
-        return WarpReport(engaged=False, reason=decline.reason)
+    replayed = _replay(ctx, st1, _real_backend(ctx), t_close)
     _commit(ctx, st1)
     return WarpReport(
         engaged=True,
@@ -1225,7 +1124,8 @@ def state_fingerprint(tb: "Testbed") -> tuple:
     def port_view(port: NicPort) -> tuple:
         return (
             port.name, port.tx_packets, port.tx_bytes, port.tx_dropped,
-            port.driver_drops, port.rx_packets, repr(port._tx_busy_until_ns),
+            port.driver_drops, port._offered, port._next_drop, port.rx_packets,
+            repr(port._tx_busy_until_ns),
             ring_view(port.rx_ring),
         )
 

@@ -21,7 +21,7 @@ into defensible statistics:
 
 Trials are genuine re-measurements, not reseeds: each trial ``k > 0``
 perturbs the base run through dedicated ``trial.*`` RNG streams (traffic
-phase, driver-hiccup hash salt, churn offset -- see
+phase, driver-drop schedule salt, churn offset -- see
 :func:`repro.scenarios.base.trial_axis`) while keeping the workload
 definition identical.  Trial 0 is the unperturbed base run, bit-identical
 to a single-trial measurement.

@@ -11,15 +11,15 @@ The 10 Gbps wire is "the theoretical bottleneck" for every scenario that
 touches a physical NIC (Sec. 5.1) -- it is enforced here and nowhere else.
 
 Traffic arrives as a mix of exact :class:`Packet` objects (probes) and
-:class:`PacketBlock` flyweights (bulk frames).  The per-frame backlog
-check and the deterministic driver-hiccup hash are frame-level
-semantics, but a block rarely needs them frame by frame: two exact O(1)
-bounds (see :meth:`NicPort.send_batch`) prove that no frame of the block
-can hit a hiccup or the tx backlog, and the block then goes out whole.
-Blocks that fail either bound, single :class:`Packet` items and every
-item on a port with flow telemetry attached take the per-frame loop,
-which hoists everything loop-invariant (wire time, backlog bound, the
-hash prefix over the port name and the block's uniform fields).
+:class:`PacketBlock` flyweights (bulk frames).  The tx backlog and the
+sporadic driver drops are frame-level semantics, but a block rarely
+needs them frame by frame.  Each port keeps a drop schedule -- the count
+of frames offered to it and the ordinal of the next frame it drops -- so
+one integer compare proves that no frame of a block drops, and an exact
+backlog bound (see :meth:`NicPort.send_batch`) proves that none overflows
+the tx ring; the block then goes out whole.  Blocks that fail either
+test, single :class:`Packet` items and every item on a port with flow
+telemetry attached take the per-frame loop.
 """
 
 from __future__ import annotations
@@ -45,36 +45,29 @@ DEFAULT_TX_SLOTS = 512
 #: RTTs of Table 3.
 PCIE_LATENCY_NS = 2_400.0
 
-#: Probability that the driver-hiccup hash drops a transmitted frame
-#: (mbuf allocation hiccup, descriptor race).  Real rigs see roughly one
-#: such drop per multi-second RFC 2544 trial; our millisecond windows
-#: carry ~10^4 frames, so the per-frame probability is scaled to keep
-#: the per-trial loss small.  The hash does not drop frames
-#: independently: its final FNV multiply maps the adjacent indices of
-#: one burst to nearby values, so a hiccup usually takes most of a
-#: 32-frame burst at once -- ~20x fewer, ~30x larger drop events than
-#: independent drops (EXPERIMENTS.md, known deviation 6).  This is the
+#: Probability that the driver drops an offered frame (mbuf allocation
+#: hiccup, descriptor race).  Real rigs see roughly one such drop per
+#: multi-second RFC 2544 trial; our millisecond windows carry ~10^4
+#: frames, so the per-frame probability is scaled to keep the per-trial
+#: loss small.  Each port draws geometric gaps between drops (see
+#: :func:`_drop_gap`), so drops are independent single frames: the
 #: "non-deterministic packet loss caused at the driver level" that makes
 #: strict NDR searches unreliable (paper footnote 3); its effect on
 #: throughput measurements is ~0.01%.
 DRIVER_DROP_PROB = 1e-4
 
-# FNV-1a over stable per-run quantities: the drop decision replays
-# bit-identically regardless of what ran earlier in the process.
+# FNV-1a over the port name: a stable per-port key, so the drop schedule
+# replays bit-identically regardless of what ran earlier in the process.
 _FNV_OFFSET = 1469598103934665603
 _FNV_PRIME = 1099511628211
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_DENOM53 = float(1 << 53)
-#: ``_HICCUP_TOP[k]``: the largest ``C`` for which ``C + (2**k - 1) * P``
-#: stays below 2**64 (negative once no ``C`` does) -- the no-wrap test of
-#: the block bound in :meth:`NicPort.send_batch`.
-_HICCUP_TOP = tuple(_MASK64 - ((1 << k) - 1) * _FNV_PRIME for k in range(65))
+_GOLDEN64 = 0x9E3779B97F4A7C15
 
 _name_hashes: dict[str, int] = {}
 
 
 def _name_hash(port_name: str) -> int:
-    """FNV-1a fold of the port name (cached; the loop-invariant prefix)."""
+    """FNV-1a fold of the port name (cached): the drop schedule's key."""
     value = _name_hashes.get(port_name)
     if value is None:
         value = _FNV_OFFSET
@@ -84,27 +77,28 @@ def _name_hash(port_name: str) -> int:
     return value
 
 
-def _hiccup_base(name_hash: int, t_created_int: int, size: int, flow_id: int, hops: int) -> int:
-    """Fold the per-frame-invariant fields; only the burst index remains."""
-    value = ((name_hash ^ (t_created_int & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-    value = ((value ^ (size & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-    value = ((value ^ (flow_id & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-    return ((value ^ (hops & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
+def _drop_gap(key: int, n: int, prob: float) -> float:
+    """Frames from one driver drop to the next: draw ``n`` of the schedule.
 
-
-def _hiccup_limit(prob: float) -> int:
-    """Integer form of the per-frame hiccup test.
-
-    A frame whose final hash value is ``v`` drops when
-    ``(v >> 11) / 2**53 < prob``.  ``v >> 11`` is an integer below 2**53,
-    so it converts to float exactly, dividing by a power of two is exact,
-    and the test is ``v >> 11 < prob * 2**53`` -- for an integer, the same
-    as ``v >> 11 < ceil(prob * 2**53)``, which this returns (0 when no
-    frame can drop, 2**53 when every frame does).
+    A geometric draw (support 1, 2, ...) with success probability
+    ``prob``: ``u`` in (0, 1] comes from the top 53 bits of SplitMix64
+    over ``key + n * 0x9E3779B97F4A7C15``, a counter-based hash, so the
+    ``n``-th gap depends on nothing but ``key`` and ``n``.  ``inf`` (no
+    further drop) when ``prob`` is not positive or the gap overflows a
+    float; 1 (every frame) when ``prob >= 1``.
     """
     if not prob > 0.0:
-        return 0
-    return math.ceil(min(prob, 1.0) * _DENOM53)
+        return math.inf
+    if prob >= 1.0:
+        return 1
+    z = (key + n * _GOLDEN64) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    u = (((z ^ (z >> 31)) >> 11) + 1) / 9007199254740992.0  # 2**53
+    quotient = math.log(u) / math.log1p(-prob)
+    if not math.isfinite(quotient):
+        return math.inf
+    return 1 + math.floor(quotient)
 
 
 class NicPort:
@@ -149,12 +143,18 @@ class NicPort:
         self.rx_moderation_ns: float | None = None
 
         self._tx_busy_until_ns = 0.0
-        self._name_hash = _name_hash(name)
         self._pcie_stall_base: float | None = None
         self.tx_packets = 0
         self.tx_bytes = 0
         self.tx_dropped = 0
+        #: Frames the driver dropped; also the index of the schedule's
+        #: next draw.
         self.driver_drops = 0
+        #: The drop schedule: frames offered to :meth:`send_batch` so far,
+        #: and the ordinal (0-based, among offered frames) of the next one
+        #: the driver drops.
+        self._offered = 0
+        self._drop_key = _name_hash(name)
         self.driver_drop_prob = DRIVER_DROP_PROB
         self.rx_packets = 0
         #: Optional per-flow accounting (:class:`repro.obs.flowstats.FlowStats`);
@@ -164,15 +164,14 @@ class NicPort:
 
     @property
     def driver_drop_prob(self) -> float:
-        """Per-frame driver-hiccup probability (:data:`DRIVER_DROP_PROB`)."""
+        """Per-frame driver-drop probability (:data:`DRIVER_DROP_PROB`)."""
         return self._drop_prob
 
     @driver_drop_prob.setter
     def driver_drop_prob(self, prob: float) -> None:
         self._drop_prob = prob
-        # The block bound compares full 64-bit hash values: v drops iff
-        # v < _drop_limit.  Derived once per assignment, never per frame.
-        self._drop_limit = _hiccup_limit(prob) << 11
+        # Redraw the next drop from the current ordinal.
+        self._next_drop = self._offered - 1 + _drop_gap(self._drop_key, self.driver_drops, prob)
 
     def connect(self, peer: "NicPort") -> None:
         """Cable this port to ``peer`` (full duplex, both directions)."""
@@ -180,36 +179,34 @@ class NicPort:
         peer.peer = self
 
     def set_hiccup_salt(self, salt: int) -> None:
-        """Perturb the driver-hiccup hash for a soundness trial.
+        """Perturb the driver-drop schedule for a soundness trial.
 
-        XORs ``salt`` into the port-name prefix of the FNV fold, so a
+        XORs ``salt`` into the schedule's key (the port-name hash), so a
         trial replica sees a different (but equally deterministic)
-        realisation of the sporadic driver drops.  Salt 0 restores the
-        base run's hash exactly.
+        realisation of the sporadic driver drops, and redraws the next
+        drop from the current ordinal.  Salt 0 restores the base
+        schedule.
         """
-        self._name_hash = _name_hash(self.name) ^ (salt & _MASK64)
+        self._drop_key = _name_hash(self.name) ^ (salt & _MASK64)
+        self._next_drop = self._offered - 1 + _drop_gap(
+            self._drop_key, self.driver_drops, self._drop_prob
+        )
 
     def send_batch(self, items: Sequence[Packet | PacketBlock]) -> int:
         """Serialise the batch's frames onto the wire towards the peer.
 
         Returns the number of frames actually transmitted; frames that
-        would exceed the tx descriptor backlog are dropped (no
-        backpressure in a poll-mode data plane).
+        the driver drops (the drop schedule) or that would exceed the tx
+        descriptor backlog are dropped (no backpressure in a poll-mode
+        data plane).
 
-        A :class:`PacketBlock` goes out whole, with O(1) hash work, when
-        two exact bounds hold; otherwise (and for single :class:`Packet`
-        items, and on ports with flow telemetry) every frame runs the
-        per-frame loop.
+        A :class:`PacketBlock` goes out whole when two exact tests hold;
+        otherwise (and for single :class:`Packet` items, and on ports
+        with flow telemetry) every frame runs the per-frame loop.
 
-        * Hiccup bound.  Frame ``i`` hashes to
-          ``((base ^ (i & M32)) * P) mod 2**64``.  With ``k`` the number of
-          low bits in which the block's indices ``index ..
-          index + count - 1`` differ, ``base ^ (i & M32)`` spans
-          ``[H, H + 2**k)`` for ``H = ((base ^ (index & M32)) >> k) << k``,
-          so the values lie in ``[C, C + (2**k - 1) * P]`` with
-          ``C = H * P mod 2**64`` -- unless that window wraps.  A window
-          that does not wrap and starts at or above the drop limit holds
-          no dropping frame.
+        * Drop schedule.  The block's frames are the ordinals
+          ``offered .. offered + count - 1``; none drops iff
+          ``offered + count <= next_drop``.
         * Backlog bound.  ``busy`` only grows frame by frame and float
           addition and subtraction are monotone, so if the last frame
           passes the backlog test every earlier one did.  The block's
@@ -220,76 +217,68 @@ class NicPort:
         now = self.sim.now
         busy = max(now, self._tx_busy_until_ns)
         rate = self.rate_bps
-        prob = self._drop_prob
-        limit = self._drop_limit
-        name_hash = self._name_hash
         tx_slots = self.tx_slots
         flowstats = self.flowstats
+        offered = self._offered
+        next_drop = self._next_drop
         arrivals: list[tuple[Packet | PacketBlock, float]] = []
         sent_frames = 0
         sent_bytes = 0
-        index = 0  # frame position within the burst (hiccup hash input)
         for item in items:
             size = item.size
             wire = wire_time_ns(size, rate)
             max_backlog_ns = tx_slots * wire
             if item.__class__ is PacketBlock:
                 count = item.count
-                base = (
-                    _hiccup_base(name_hash, int(item.t_created), size, item.flow_id, item.hops)
-                    if prob > 0.0
-                    else 0
-                )
-                if flowstats is None:
-                    # Block fast path (both bounds in the docstring);
+                if flowstats is None and offered + count <= next_drop:
+                    # Block fast path (both tests in the docstring);
                     # count >= 1 is a PacketBlock invariant.
-                    clean = True
-                    if prob > 0.0:
-                        k = (index ^ (index + count - 1)).bit_length()
-                        low = ((base ^ (index & 0xFFFFFFFF)) >> k << k) * _FNV_PRIME & _MASK64
-                        clean = limit <= low <= _HICCUP_TOP[k]
-                    if clean:
-                        start = busy
-                        for _ in range(count - 1):
-                            busy += wire
-                        if busy - now <= max_backlog_ns:
-                            busy += wire
-                            index += count
-                            arrivals.append((item, busy))
-                            sent_frames += count
-                            sent_bytes += size * count
-                            continue
-                        busy = start
-                if item.flows is not None:
-                    # Multi-flow block: same frame-level semantics, but the
-                    # surviving frames' run-length summary must be
-                    # re-encoded when drops puncture the block.
-                    kept: list[int] = []
-                    offset = 0
-                    for i in range(index, index + count):
-                        if prob > 0.0:
-                            value = ((base ^ (i & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-                            if (value >> 11) / _DENOM53 < prob:
-                                self.driver_drops += 1
-                                offset += 1
-                                continue
-                        if busy - now > max_backlog_ns:
-                            self.tx_dropped += 1
-                            offset += 1
-                            continue
-                        busy = busy + wire
-                        kept.append(offset)
-                        offset += 1
-                    index += count
-                    accepted = len(kept)
-                    if flowstats is not None:
-                        # Attribute survivors and punctures before the
-                        # block's run summary is re-encoded below.
-                        flowstats.wire_split_runs(item.flows, kept, size)
-                    if accepted:
+                    start = busy
+                    for _ in range(count - 1):
+                        busy += wire
+                    if busy - now <= max_backlog_ns:
+                        busy += wire
+                        offered += count
+                        arrivals.append((item, busy))
+                        sent_frames += count
+                        sent_bytes += size * count
+                        continue
+                    busy = start
+                kept: list[int] = []
+                for offset in range(count):
+                    if offered == next_drop:
+                        self.driver_drops += 1
+                        next_drop = offered + _drop_gap(
+                            self._drop_key, self.driver_drops, self._drop_prob
+                        )
+                        offered += 1
+                        continue
+                    offered += 1
+                    # Descriptor-count backlog limit: a full tx ring of
+                    # frames of this size corresponds to this much
+                    # serialization backlog.
+                    if busy - now > max_backlog_ns:
+                        self.tx_dropped += 1
+                        continue
+                    busy = busy + wire
+                    kept.append(offset)
+                accepted = len(kept)
+                runs = item.flows
+                if flowstats is not None:
+                    # Attribute survivors and drops before a multi-flow
+                    # block's run summary is re-encoded below.
+                    if runs is not None:
+                        flowstats.wire_split_runs(runs, kept, size)
+                    else:
+                        flow = item.flow_id
+                        if accepted:
+                            flowstats.wire_runs(((flow, accepted),), size)
                         if accepted != count:
-                            runs = item.flows
-                            item.count = accepted
+                            flowstats.drop_runs(((flow, count - accepted),), size)
+                if accepted:
+                    if accepted != count:
+                        item.count = accepted
+                        if runs is not None:
                             item.flows = select_flows(runs, kept)
                             if item.flows is None:
                                 # Survivors collapsed to one flow; re-anchor
@@ -302,56 +291,25 @@ class NicPort:
                                         item.flow_id = flow
                                         item.src_mac = mac_base + flow
                                         break
-                        arrivals.append((item, busy))
-                        sent_frames += accepted
-                        sent_bytes += size * accepted
-                    continue
-                accepted = 0
-                for i in range(index, index + count):
-                    if prob > 0.0:
-                        value = ((base ^ (i & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-                        if (value >> 11) / _DENOM53 < prob:
-                            self.driver_drops += 1
-                            continue
-                    # Descriptor-count backlog limit: a full tx ring of
-                    # frames of this size corresponds to this much
-                    # serialization backlog.
-                    if busy - now > max_backlog_ns:
-                        self.tx_dropped += 1
-                        continue
-                    busy = busy + wire
-                    accepted += 1
-                index += count
-                if flowstats is not None:
-                    flow = item.flow_id
-                    if accepted:
-                        flowstats.wire_runs(((flow, accepted),), size)
-                    if accepted != count:
-                        flowstats.drop_runs(((flow, count - accepted),), size)
-                if accepted:
-                    if accepted != count:
-                        item.count = accepted
                     arrivals.append((item, busy))
                     sent_frames += accepted
                     sent_bytes += size * accepted
                 continue
             packet = item
-            if prob > 0.0:
-                base = _hiccup_base(
-                    name_hash, int(packet.t_created), size, packet.flow_id, packet.hops
+            if offered == next_drop:
+                self.driver_drops += 1
+                next_drop = offered + _drop_gap(
+                    self._drop_key, self.driver_drops, self._drop_prob
                 )
-                value = ((base ^ (index & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-                if (value >> 11) / _DENOM53 < prob:
-                    self.driver_drops += 1
-                    if flowstats is not None:
-                        flowstats.drop_runs(((packet.flow_id, 1),), size)
-                    index += 1
-                    continue
+                offered += 1
+                if flowstats is not None:
+                    flowstats.drop_runs(((packet.flow_id, 1),), size)
+                continue
+            offered += 1
             if busy - now > max_backlog_ns:
                 self.tx_dropped += 1
                 if flowstats is not None:
                     flowstats.drop_runs(((packet.flow_id, 1),), size)
-                index += 1
                 continue
             start = busy
             busy = start + wire
@@ -363,8 +321,9 @@ class NicPort:
             arrivals.append((packet, busy))
             sent_frames += 1
             sent_bytes += size
-            index += 1
         self._tx_busy_until_ns = busy
+        self._offered = offered
+        self._next_drop = next_drop
         if arrivals:
             self.tx_packets += sent_frames
             self.tx_bytes += sent_bytes

@@ -175,7 +175,7 @@ class TrialPerturbation:
     A trial replica must measure the *same workload* under different
     measurement-irrelevant phases, so all perturbations draw from
     dedicated ``trial.<k>.*`` RNG streams: traffic start phase
-    (:meth:`phase_ns`), driver-hiccup hash salt (:meth:`salt_ports`) and
+    (:meth:`phase_ns`), driver-drop schedule salt (:meth:`salt_ports`) and
     churn-clock offset (:meth:`shift_churn`).  Trial 0 is the identity
     -- every method returns its neutral element *without creating any
     RNG stream*, so the base run's draws (and hence its results) are
@@ -198,7 +198,7 @@ class TrialPerturbation:
         return float(self._stream("phase").integers(0, TRIAL_PHASE_SPAN_NS))
 
     def salt_ports(self, *ports) -> None:
-        """Salt each port's driver-hiccup hash (no-op at trial 0)."""
+        """Salt each port's driver-drop schedule (no-op at trial 0)."""
         if self.trial == 0:
             return
         rng = self._stream("hiccup")

@@ -38,7 +38,7 @@ def build(
     input (the throughput methodology).  ``probe_interval_ns`` enables
     PTP latency probes (the latency methodology).  ``trial`` selects a
     soundness-trial replica (``repro.measure.soundness``): same workload,
-    perturbed traffic phase / hiccup hash / churn clock.
+    perturbed traffic phase / driver-drop schedule / churn clock.
     """
     sim, machine, rngs, switch, sut_core = new_testbed_parts(switch_name, seed)
 

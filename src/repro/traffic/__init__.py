@@ -12,12 +12,11 @@ from repro.traffic.moongen import (
     saturating_rate,
 )
 from repro.traffic.pktgen import PKTGEN_MAX_RATE_PPS, make_pktgen_rx, make_pktgen_tx
-from repro.traffic.profiles import DATACENTER, IMIX, PROFILES, FlowProfile, SizeProfile, fixed
+from repro.traffic.profiles import DATACENTER, IMIX, PROFILES, SizeProfile, fixed
 
 __all__ = [
     "DATACENTER",
     "DEFAULT_PROBE_INTERVAL_NS",
-    "FlowProfile",
     "IMIX",
     "PROFILES",
     "SizeProfile",

@@ -44,7 +44,6 @@ class PacedSource:
         stamp_probe_tx: Callable[[Packet, float], None] | None = None,
         flow_count: int = 1,
         size_profile=None,
-        flow_profile=None,
         flow_population=None,
         rng: np.random.Generator | None = None,
         name: str = "source",
@@ -70,12 +69,7 @@ class PacedSource:
         if size_profile is None and flow_population is not None:
             size_profile = flow_population.size_profile
         self.size_profile = size_profile
-        self.flow_profile = flow_profile
-        if (
-            size_profile is not None
-            or flow_profile is not None
-            or flow_population is not None
-        ) and rng is None:
+        if (size_profile is not None or flow_population is not None) and rng is None:
             # Fallback for direct construction; scenario builders pass a
             # named per-run stream (``rngs.stream("flows.<source>")``) so
             # multi-flow runs stay deterministic and parallel-safe.
@@ -110,11 +104,7 @@ class PacedSource:
         burst = self.burst
         if self._uniform and blocks_enabled():
             batch = self._make_block_burst(now, burst)
-        elif (
-            self.flow_population is not None
-            and self.flow_profile is None
-            and blocks_enabled()
-        ):
+        elif self.flow_population is not None and blocks_enabled():
             batch = self._make_flow_burst(now, burst)
         else:
             batch = self._make_burst(now)
@@ -129,7 +119,6 @@ class PacedSource:
         """Uniform streams (one flow, fixed size) can be emitted as blocks."""
         return (
             self.size_profile is None
-            and self.flow_profile is None
             and self.flow_population is None
             and self.flow_count == 1
         )
@@ -242,8 +231,6 @@ class PacedSource:
         population = self.flow_population
         if population is not None:
             flows = population.sample_flows(self._rng, self.burst, now)
-        elif self.flow_profile is not None:
-            flows = self.flow_profile.sample(self._rng, self.burst)
         batch = []
         for i in range(self.burst):
             if flows is not None:

@@ -10,7 +10,7 @@ the profiles needed to go beyond the fixed-size workload:
 * a data-centre-like bimodal mix matching the cited 850 B average;
 * uniform and custom mixes;
 
-plus flow-structure helpers for the OvS flow-cache experiments.
+plus the Zipf rank CDF that :mod:`repro.flows` samples flow ids from.
 """
 
 from __future__ import annotations
@@ -85,29 +85,6 @@ DATACENTER = SizeProfile(
 PROFILES = {p.name: p for p in (IMIX, DATACENTER)}
 
 
-@dataclass(frozen=True)
-class FlowProfile:
-    """A flow-structure specification for cache-sensitivity studies."""
-
-    name: str
-    flow_count: int
-    #: Zipf skew (0 = round-robin/uniform; >0 = heavy-tailed popularity).
-    zipf_alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.flow_count < 1:
-            raise ValueError("flow_count must be >= 1")
-        if self.zipf_alpha < 0:
-            raise ValueError("zipf_alpha must be >= 0")
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` flow ids."""
-        if self.zipf_alpha == 0.0:
-            return rng.integers(0, self.flow_count, size=count)
-        cdf = zipf_cdf(self.flow_count, self.zipf_alpha)
-        return cdf.searchsorted(rng.random(count)).astype(np.int64, copy=False)
-
-
 @lru_cache(maxsize=4)
 def zipf_cdf(flows: int, alpha: float) -> np.ndarray:
     """Cumulative Zipf(``alpha``) rank popularity over ``flows`` ranks.
@@ -125,6 +102,3 @@ def zipf_cdf(flows: int, alpha: float) -> np.ndarray:
     cdf[-1] = 1.0  # guard searchsorted against rounding
     cdf.flags.writeable = False
     return cdf
-
-
-SINGLE_FLOW = FlowProfile(name="single", flow_count=1)

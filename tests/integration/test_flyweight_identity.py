@@ -5,9 +5,7 @@ model changes: every observable figure -- throughput, loss, latency, meter
 and port counters, observed metrics -- must be bit-identical to running
 the same scenario with seed-style one-object-per-frame emission, and a run
 must be deterministic regardless of how many runs preceded it.  The same
-holds for multi-flow traffic, whose blocks carry flow run-lengths -- with
-one recorded exception, driver hiccups (see
-:class:`TestMultiFlowScenarioIdentity`).
+holds for multi-flow traffic, whose blocks carry flow run-lengths.
 """
 
 from __future__ import annotations
@@ -240,14 +238,15 @@ MULTI_FLOW_POPULATIONS = {
 }
 
 
-def _multi_flow_run(switch: str, population: dict, hiccups: bool = False):
+def _multi_flow_run(switch: str, population: dict):
     tb = p2p.build(switch, frame_size=64, seed=3, **population)
-    if not hiccups:
-        for port in (*tb.extras["gen_ports"], *tb.extras["sut_ports"]):
-            port.driver_drop_prob = 0.0
     drive(tb, warmup_ns=100_000.0, measure_ns=600_000.0)
     return (
         [(m.packets, m.bytes, m.warmup_packets) for m in tb.meters],
+        [
+            (p.name, p.driver_drops, p.tx_dropped)
+            for p in (*tb.extras["gen_ports"], *tb.extras["sut_ports"])
+        ],
         tb.switch.cache_stats(),
         repr(tb.sut_core.busy_ns),
     )
@@ -257,11 +256,10 @@ class TestMultiFlowScenarioIdentity:
     """Multi-flow p2p runs: blocks and per-packet emission agree on the
     meters, the switch's cache counters and the SUT core's busy time.
 
-    Driver hiccups are off on every port.  A multi-flow block's hiccup
-    hash uses the block's template flow id for every frame, while
-    per-packet emission hashes each frame's own flow id, so the two
-    encodings drop different frames; ``docs/flows.md`` records why that
-    stays.  The strict xfail below keeps the difference visible.
+    Driver drops stay on: each port's drop schedule counts offered
+    frames, so both encodings drop the same frames whatever the flow ids
+    and block boundaries.  Every cell drops frames on the generator's
+    port, and most also on the SUT's egress port.
     """
 
     @pytest.mark.parametrize("population", sorted(MULTI_FLOW_POPULATIONS))
@@ -271,17 +269,6 @@ class TestMultiFlowScenarioIdentity:
         blocks = _multi_flow_run(switch, flows)
         with per_packet_emission():
             exact = _multi_flow_run(switch, flows)
-        assert blocks == exact
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="multi-flow driver hiccups hash the block's template flow id",
-    )
-    def test_driver_hiccups_identical(self):
-        flows = MULTI_FLOW_POPULATIONS["uniform-100-churn"]
-        blocks = _multi_flow_run("vpp", flows, hiccups=True)
-        with per_packet_emission():
-            exact = _multi_flow_run("vpp", flows, hiccups=True)
         assert blocks == exact
 
 

@@ -44,11 +44,14 @@ class TestRepeatScheduler:
         """A point that never converges and never classifies stable ends
         quarantined, carrying the classifier's documented reason.
 
-        Snabb's 4-VNF loopback sits on the collapse cliff (Sec. 5.2);
-        the trial perturbations push it across, so its six trials mix
-        regimes and the classifier refuses to average them.
+        At these short windows Snabb's 4-VNF loopback at seed 2 delivers
+        256 frames per window in five of its six trials; trial 1's
+        traffic phase (its start-time offset) leaves it 192, with driver
+        drops on or off.  A cv of 0.11 with no trend or other structure
+        classifies the point inconclusive, and the scheduler refuses to
+        average it.
         """
-        spec = RunSpec("loopback", "snabb", n_vnfs=4, seed=1, **WINDOWS)
+        spec = RunSpec("loopback", "snabb", n_vnfs=4, seed=2, **WINDOWS)
         policy = TrialPolicy(n_min=6, n_max=6, rel_ci_target=0.0)
         result = run_trial_campaign([spec], policy)
         point = result.points[0]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import random
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 from repro.core.engine import Simulator
 from repro.core.packet import DEFAULT_SRC_MAC, Packet, PacketBlock
 from repro.core.units import line_rate_pps, wire_time_ns
-from repro.nic.port import (
-    _FNV_PRIME,
-    _MASK64,
-    NicPort,
-    _hiccup_base,
-    _hiccup_limit,
-    _name_hash,
-    dual_port_nic,
-)
+from repro.nic.port import NicPort, _drop_gap, dual_port_nic
 
 
 def _pair(sim, **kwargs):
@@ -153,11 +145,10 @@ def test_tx_bytes_counter(sim):
     assert a.tx_bytes == 384
 
 
-# -- block serialisation: O(1) bounds vs the per-frame loop -------------------
+# -- block serialisation: O(1) tests vs the per-frame loop --------------------
 
-#: Drop probabilities the block bound must handle: off, the default, one
-#: that passes about half the blocks, one that drops everything, and one
-#: whose ``prob * 2**53`` is an integer (the strict-inequality edge).
+#: Drop probabilities the block path must handle: off, the default, one
+#: that punctures most blocks, one that drops everything, and a small one.
 PROBS = (0.0, 1e-4, 0.5, 1.0, 2.0**-20)
 
 
@@ -246,93 +237,137 @@ def test_block_path_matches_per_frame_loop(calls, prob, salt, tx_slots, busy_off
     assert fast == reference
 
 
-def _expected_hiccups(port, blocks):
-    """Per-frame reference of the hiccup test over one call's blocks."""
-    drops = 0
-    index = 0
-    for block in blocks:
-        base = _hiccup_base(
-            port._name_hash, int(block.t_created), block.size, block.flow_id, block.hops
-        )
-        for i in range(index, index + block.count):
-            value = ((base ^ (i & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-            drops += (value >> 11) / float(1 << 53) < port.driver_drop_prob
-        index += block.count
-    return drops
+# -- the drop schedule ----------------------------------------------------------
 
 
-def _salt_for_base(port, base, t_created, size, flow_id, hops):
-    """Salt that makes ``_hiccup_base`` of the given fields equal ``base``."""
-    inverse = pow(_FNV_PRIME, -1, 1 << 64)
-    value = base
-    for field in (hops, flow_id, size, t_created):
-        value = ((value * inverse) & _MASK64) ^ (field & 0xFFFFFFFF)
-    return value ^ _name_hash(port.name)
+def _drop_port(prob, salt=0, tx_slots=1 << 30):
+    sim = Simulator()
+    port = NicPort(sim, "sut-nic.p1", tx_slots=tx_slots)
+    port.connect(NicPort(sim, "gen-nic.p1"))
+    port.driver_drop_prob = prob
+    port.set_hiccup_salt(salt)
+    return port
 
 
-#: (index, count) of the block under test: aligned, unaligned and
-#: straddling a power-of-two boundary of the frame position.
-BLOCK_RANGES = ((0, 1), (5, 1), (0, 32), (1, 32), (3, 5), (31, 2), (96, 32), (100, 412), (511, 2))
+def _schedule(port):
+    return port.driver_drops, port._offered, port._next_drop
 
 
-def _block_base_cases(rng):
-    """(base, index, count): random bases plus bases at each edge of the
-    window for every alignment ``j`` up to the block's own ``k``.
-
-    ``base ^ index`` gets its bits from ``j`` up set so that they alone
-    hash to the limit (or just below it), or to the highest value whose
-    window does not wrap (or just above it); frames whose high bits fall
-    below drop, so a bound computed with the wrong ``k`` or limit, or a
-    wrong wrap test, lets a dropping frame through.
-    """
-    limit = _hiccup_limit(1e-4) << 11
-    inverse = pow(_FNV_PRIME, -1, 1 << 64)
-    for index, count in BLOCK_RANGES:
-        k = (index ^ (index + count - 1)).bit_length()
-        for j in range(k + 1):
-            top = (_MASK64 - ((1 << j) - 1) * _FNV_PRIME) >> j << j
-            for c in (limit, limit - (1 << j), top, top + (1 << j)):
-                high = (c * inverse) & _MASK64  # H * P == c, H a multiple of 2**j
-                yield high ^ index ^ rng.randrange(1 << j), index, count
-        for _ in range(4):
-            yield rng.randrange(1 << 64), index, count
+def _drop_ordinals(port, frames):
+    """Ordinals among the next ``frames`` offered frames that the driver
+    drops, offering them one :class:`Packet` per call."""
+    dropped = []
+    for ordinal in range(frames):
+        before = port.driver_drops
+        port.send_batch([Packet(seq=ordinal)])
+        if port.driver_drops != before:
+            dropped.append(ordinal)
+    return dropped
 
 
-def test_block_bound_matches_brute_force():
-    rng = random.Random(20191209)
-    fields = dict(t_created=1234.0, size=64, flow_id=7, hops=1)
-    for base, index, count in _block_base_cases(rng):
-        port = NicPort(Simulator(), "sut.p1", tx_slots=1 << 12)
-        port.connect(NicPort(port.sim, "gen.p1"))
-        port.set_hiccup_salt(_salt_for_base(port, base, 1234, 64, 7, 1))
-        blocks = [PacketBlock(count=count, seq0=0, **fields)]
-        if index:
-            blocks.insert(0, PacketBlock(count=index, seq0=0, **fields))
-        expected = _expected_hiccups(port, blocks)
-        port.send_batch(blocks)
-        assert port.driver_drops == expected, (base, index, count)
-        assert port.tx_packets + port.driver_drops == index + count
+_piece = st.tuples(
+    st.sampled_from(["packet", "block", "flows"]),
+    st.integers(min_value=1, max_value=64),
+    st.booleans(),  # start a new send_batch call with this piece
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pieces=st.lists(_piece, min_size=1, max_size=40),
+    prob=st.sampled_from([1e-4, 0.02, 0.3, 0.9]),
+    salt=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    tx_slots=st.sampled_from([4, 64, 1 << 30]),
+)
+def test_any_split_drops_the_same_ordinals(pieces, prob, salt, tx_slots):
+    # The frames offered to one port, split into calls, single-flow
+    # blocks, multi-flow blocks (one flow per frame) and packets, drop
+    # the ordinals that one-packet-per-call offering drops, and leave
+    # the same schedule after every call.
+    calls: list[list] = []
+    total = 0
+    for kind, length, new_call in pieces:
+        if kind == "packet":
+            length = 1
+        if new_call or not calls:
+            calls.append([])
+        calls[-1].append((kind, total, length))
+        total += length
+    reference = _drop_port(prob, salt, tx_slots)
+    survived = []
+    states = [_schedule(reference)]
+    for ordinal in range(total):
+        survived.append(reference.send_batch([Packet(seq=ordinal)]) == 1)
+        states.append(_schedule(reference))
+
+    port = _drop_port(prob, salt, tx_slots)
+    received: list = []
+    port.peer.sink = received.extend
+    for call in calls:
+        items = []
+        for kind, first, length in call:
+            if kind == "packet":
+                items.append(Packet(seq=first))
+            elif kind == "block" or length == 1:
+                items.append(PacketBlock(flow_id=first, count=length, seq0=first))
+            else:
+                flows = tuple((first + j, 1) for j in range(length))
+                items.append(PacketBlock(flow_id=first, count=length, seq0=first, flows=flows))
+        sent = port.send_batch(items)
+        end = call[-1][1] + call[-1][2]
+        assert sent == sum(survived[call[0][1]:end])
+        assert _schedule(port) == states[end]
+    port.sim.run()
+
+    got = {item.seq: item for item in received}
+    for call in calls:
+        for kind, first, length in call:
+            alive = [o for o in range(first, first + length) if survived[o]]
+            item = got.get(first)
+            if item is None:
+                assert alive == [], (kind, first)
+            elif kind == "packet":
+                assert [item.seq] == alive, (kind, first)
+            elif kind == "block" or length == 1:
+                # A single-flow block keeps no per-frame identity.
+                assert item.count == len(alive), (kind, first)
+            else:
+                runs = item.flows or ((item.flow_id, item.count),)
+                assert [flow for flow, _ in runs] == alive, (kind, first)
+
+
+def test_drop_rate_is_binomial():
+    prob, frames, block = 1e-3, 10**6, 100
+    port = _drop_port(prob)
+    for _ in range(frames // block):
+        port.send_batch([PacketBlock(count=block, seq0=0)])
+    mean = frames * prob
+    sigma = math.sqrt(frames * prob * (1 - prob))
+    assert port._offered == frames
+    assert abs(port.driver_drops - mean) <= 5 * sigma
+
+
+def test_salt_zero_restores_the_base_schedule():
+    base = _drop_ordinals(_drop_port(0.01), 5_000)
+    restored = _drop_port(0.01, salt=12345)
+    restored.set_hiccup_salt(0)
+    assert _drop_ordinals(restored, 5_000) == base
+    one = _drop_ordinals(_drop_port(0.01, salt=1), 5_000)
+    two = _drop_ordinals(_drop_port(0.01, salt=2), 5_000)
+    assert len(base) > 10
+    assert one != two and base not in (one, two)
 
 
 @pytest.mark.parametrize(
-    "prob", PROBS + (5e-324, 0.9999999999999999, 3.0, -1.0, float("nan"))
+    "prob, drops_all",
+    [(0.0, False), (-1.0, False), (float("nan"), False), (5e-324, False),
+     (1.0, True), (2.0, True)],
 )
-def test_hiccup_limit_is_the_float_test(prob):
-    limit = _hiccup_limit(prob)
-    for n in {0, 1, limit - 1, limit, limit + 1, (1 << 53) - 1}:
-        if 0 <= n < 1 << 53:
-            assert (n / float(1 << 53) < prob) == (n < limit), n
-
-
-def test_clean_block_skips_the_per_frame_loop(sim):
-    # The block path decides from the cached integer limit alone: with it
-    # forced to zero, a block goes out whole although the probability the
-    # per-frame loop reads would drop every frame.
-    a, b = _pair(sim)
-    a.driver_drop_prob = 1.0
-    a._drop_limit = 0
-    assert a.send_batch([PacketBlock(count=32, t_created=5.0, seq0=0)]) == 32
-    assert a.driver_drops == 0
-    a.flowstats = _PerFrameTelemetry()
-    assert a.send_batch([PacketBlock(count=32, t_created=5.0, seq0=0)]) == 0
-    assert a.driver_drops == 32
+def test_edge_probabilities(prob, drops_all):
+    port = _drop_port(prob)
+    port.send_batch([PacketBlock(count=300, seq0=0), Packet(), PacketBlock(count=7, seq0=0)])
+    assert port.driver_drops == (308 if drops_all else 0)
+    assert port._offered == 308
+    for n in (0, 1, 2**40):
+        gap = _drop_gap(0xDEADBEEF, n, prob)
+        assert gap == (1 if drops_all else math.inf)

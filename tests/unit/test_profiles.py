@@ -1,4 +1,4 @@
-"""Unit tests for traffic profiles (size mixes and flow structures)."""
+"""Unit tests for traffic profiles (size mixes and the Zipf rank CDF)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from repro.traffic.profiles import (
     DATACENTER,
     IMIX,
     PROFILES,
-    SINGLE_FLOW,
-    FlowProfile,
     SizeProfile,
     fixed,
     zipf_cdf,
@@ -63,38 +61,6 @@ class TestSizeProfile:
         assert line_rate_pps(1518) < IMIX.line_rate_pps() < line_rate_pps(64)
 
 
-class TestFlowProfile:
-    def test_single_flow(self):
-        rng = np.random.default_rng(0)
-        assert set(SINGLE_FLOW.sample(rng, 100)) == {0}
-
-    def test_uniform_flows_cover_range(self):
-        rng = np.random.default_rng(0)
-        profile = FlowProfile("u", flow_count=8)
-        draws = profile.sample(rng, 5000)
-        assert set(np.unique(draws)) == set(range(8))
-
-    def test_zipf_is_skewed(self):
-        rng = np.random.default_rng(0)
-        profile = FlowProfile("z", flow_count=100, zipf_alpha=1.2)
-        draws = profile.sample(rng, 20_000)
-        counts = np.bincount(draws, minlength=100)
-        assert counts[0] > 5 * counts[50]
-
-    def test_zipf_draws_pinned(self):
-        """The shared CDF draws exactly what the per-profile one drew."""
-        profile = FlowProfile("z", flow_count=100, zipf_alpha=1.2)
-        draws = profile.sample(np.random.default_rng(5), 16)
-        assert draws.dtype == np.int64
-        assert draws.tolist() == [21, 22, 3, 1, 0, 1, 2, 0, 0, 99, 8, 0, 2, 79, 42, 28]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowProfile("bad", flow_count=0)
-        with pytest.raises(ValueError):
-            FlowProfile("bad", flow_count=1, zipf_alpha=-1)
-
-
 class TestZipfCdf:
     def test_read_only(self):
         cdf = zipf_cdf(1000, 1.1)
@@ -111,14 +77,6 @@ class TestZipfCdf:
     def test_one_array_per_flows_and_alpha(self):
         assert zipf_cdf(1000, 1.1) is zipf_cdf(1000, 1.1)
         assert zipf_cdf(1000, 1.1) is not zipf_cdf(1000, 1.2)
-
-    def test_profile_and_population_share_it(self):
-        from repro.flows import FlowPopulation
-
-        FlowProfile("z", flow_count=777, zipf_alpha=1.3).sample(np.random.default_rng(0), 1)
-        misses = zipf_cdf.cache_info().misses
-        assert FlowPopulation(flows=777, dist="zipf", zipf_alpha=1.3)._cdf() is zipf_cdf(777, 1.3)
-        assert zipf_cdf.cache_info().misses == misses
 
     def test_memo_is_bounded(self):
         for flows in range(2, 12):
@@ -146,20 +104,3 @@ class TestGeneratorIntegration:
         sizes = {p.size for p in src.emitted}
         assert sizes <= set(IMIX.sizes)
         assert len(sizes) > 1
-
-    def test_paced_source_with_flow_profile(self, sim):
-        from repro.traffic.generator import PacedSource
-
-        class Recorder(PacedSource):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.emitted = []
-
-            def _emit(self, batch):
-                self.emitted.extend(batch)
-
-        profile = FlowProfile("u", flow_count=16)
-        src = Recorder(sim, rate_pps=10e6, frame_size=64, flow_profile=profile)
-        src.start(0.0)
-        sim.run_until(100_000)
-        assert len({p.flow_id for p in src.emitted}) > 4

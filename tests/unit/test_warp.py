@@ -13,17 +13,21 @@ The warp's contract has two halves, and both get tested here:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import SimulationError, Simulator
+from repro.core.packet import PacketBlock
 from repro.core.stats import RateMeter
+from repro.core.units import wire_time_ns
 from repro.core.warp import (
     MIN_VERIFY_NS,
     WARP_VERSION,
     WarpReport,
     _clone_backend,
     _eligibility,
-    _prescan,
     _replay,
+    _send_frames,
     _snapshot,
     _switch_view,
     engine_features,
@@ -34,6 +38,7 @@ from repro.core.warp import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.measure.runner import drive
+from repro.nic.port import NicPort
 from repro.scenarios import p2p, v2v
 
 pytestmark = pytest.mark.usefixtures("unwatched")
@@ -157,9 +162,10 @@ def test_warp_engages_and_is_bit_identical(switch):
 
 @pytest.mark.parametrize("switch", ["bess", "vpp"])
 @pytest.mark.parametrize("trial", [3, 6])
-def test_replay_hashes_hiccups_with_the_trial_salt(switch, trial):
-    # Trial replicas salt each port's hiccup hash; a replay folding the
-    # unsalted port-name hash replays the base run's drops instead.
+def test_replay_follows_the_trial_salted_drop_schedule(switch, trial):
+    # Trial replicas salt each port's drop schedule; a replay drawing
+    # gaps with the unsalted port-name key replays the base run's drops
+    # instead.
     runs = []
     for warp in (True, False):
         tb = p2p.build(switch, 64, rate_pps=8e6, trial=trial, seed=1)
@@ -194,7 +200,6 @@ def test_shadow_replay_from_the_first_event_leaves_the_live_switch_alone(switch)
     live = _switch_view(ctx.sw, ctx.path.jitter)
     before = state_fingerprint(tb)
     st = _snapshot(ctx)
-    _prescan(ctx, st, _verify_ns(tb))
     shadow = _clone_backend(ctx)
     _replay(ctx, st, shadow, _verify_ns(tb))
     assert _switch_view(ctx.sw, ctx.path.jitter) == live
@@ -220,10 +225,10 @@ def test_warp_engages_under_saturating_input():
 @pytest.mark.parametrize("rate_pps", [3e6, None], ids=["3mpps", "saturating"])
 @pytest.mark.parametrize("switch", REPLAY_SWITCHES)
 def test_replay_matches_dispatch_under_frequent_driver_hiccups(switch, rate_pps):
-    # At the default 1e-4 a hiccup seldom lands inside the replayed span.
-    # At 2e-2 both wires drop frames there, so the replay's flagged-burst
-    # paths (generator side and SUT side) run, and with warp off
-    # send_batch drops whole blocks.
+    # At the default 1e-4 a driver drop seldom lands inside the replayed
+    # span.  At 2e-2 both wires drop frames there, so the replay's
+    # per-frame paths (generator side and SUT side) draw gaps from the
+    # drop schedule, as send_batch does with warp off.
     runs = []
     for warp in (False, True):
         tb = p2p.build(switch, frame_size=64, rate_pps=rate_pps, seed=5)
@@ -243,6 +248,38 @@ def test_replay_matches_dispatch_under_frequent_driver_hiccups(switch, rate_pps)
     ]
     assert on.events == off.events
     assert drops["gen-nic.p0"] > 0 and drops["sut-nic.p1"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=6),
+    backlog=st.integers(min_value=0, max_value=40),
+    prob=st.sampled_from([1e-4, 0.05, 0.5]),
+    salt=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_replay_frame_loop_matches_send_batch(counts, backlog, prob, salt):
+    # The replay's per-frame loop against NicPort.send_batch, with a
+    # 32-slot tx ring that the blocks overfill: backlog refusals and
+    # driver drops interleave, which replayed spans seldom see.
+    sim = Simulator()
+    port = NicPort(sim, "gen-nic.p0", tx_slots=32)
+    port.connect(NicPort(sim, "sut-nic.p0"))
+    port.driver_drop_prob = prob
+    port.set_hiccup_salt(salt)
+    wire = wire_time_ns(64, port.rate_bps)
+    port._tx_busy_until_ns = busy = backlog * wire
+    off, nd, dd, txd = port._offered, port._next_drop, 0, 0
+    for count in counts:
+        sent = port.send_batch([PacketBlock(count=count, seq0=0)])
+        accepted, busy, off, nd, dd, txd = _send_frames(
+            count, busy, 0.0, wire, port.tx_slots * wire, off, nd, dd, txd,
+            port._drop_key, prob,
+        )
+        assert accepted == sent
+        assert (repr(busy), off, nd, dd, txd) == (
+            repr(port._tx_busy_until_ns), port._offered, port._next_drop,
+            port.driver_drops, port.tx_dropped,
+        )
 
 
 # -- automatic declines ------------------------------------------------------
