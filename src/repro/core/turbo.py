@@ -65,10 +65,11 @@ from __future__ import annotations
 
 import types
 from heapq import heappop, heappush
-from math import inf, nextafter, ulp
+from math import inf, nextafter
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import SimulationError
+from repro.core.lattice import grid
 from repro.core.warp import (
     WarpReport,
     _ARRIVE_CODES,
@@ -375,15 +376,17 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
     no-op deadline (that poll does real work, so it bounds every chain),
     and past ``t_end``.
 
-    One chain runs the repeated float addition itself; several chains go
-    through the closed-form :func:`_lattice_advance`, and through the
-    k-way :func:`_merge_advance` when the lattice cannot decide.
+    One chain counts its polls on its core's idle lattice
+    (:mod:`repro.core.lattice`); several chains go through the
+    closed-form :func:`_lattice_advance`, and through the k-way
+    :func:`_merge_advance` when the lattice cannot decide.
     """
     if len(chains) == 1:
-        # Single chain (p2p/p2v/v2v spans): a pure float-accumulation
-        # loop.  After the first fire the chain's re-arm seqs exceed
-        # every pending heap seq, so a time tie with the bound always
-        # resolves to the bound and the seq test collapses away.
+        # Single chain (p2p/p2v/v2v spans).  After the first fire the
+        # chain's re-arm seqs exceed every pending heap seq, so a time tie
+        # with the bound always resolves to the bound and the seq test
+        # collapses away: the later polls fire while below the stop and
+        # at or below t_end.
         chain = chains[0]
         t = chain[0]
         if (
@@ -395,14 +398,26 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
             return 0, None, seq
         delay = chain[4]
         stop = bound_t if bound_t < chain[6] else chain[6]
-        total = 0
+        total = 1
         last_t = t
-        while True:
-            total += 1
-            last_t = t
-            t += delay
-            if t >= stop or t > t_end:
-                break
+        t += delay
+        lattice = chain[3]._idle_lattice
+        if (
+            delay == lattice.d and lattice.lo <= t
+            and stop < lattice.hi and stop <= t_end
+        ):
+            # Every later poll below the stop lies in t's binade.
+            count = -((t - stop) // lattice.step)
+            if count > 0:
+                count = int(count)
+                total += count
+                last_t = t + (count - 1) * lattice.step
+                t = last_t + delay
+        else:
+            count, last, t = lattice.polls(t, delay, stop, t_end)
+            if count:
+                total += count
+                last_t = last
         chain[0] = t
         chain[1] = seq + total - 1
         chain[5] += total
@@ -420,10 +435,9 @@ def _lattice_advance(chains, bound_t, bound_s, t_end, seq):
     seq and ``bound_s``, as the engine's next seq does); on None the rows
     are untouched.  Inside the binade of the earliest head ``t_lo`` every
     float is an integer multiple of ``u = ulp(t_lo)``, and ``t + d``
-    below the binade top rounds to ``t + M*u`` with ``M = round(d / u)``
-    (unless ``d / u`` is an odd multiple of one half: ties-to-even would
-    make the step depend on the parity of ``t``).  So chains sharing one
-    delay poll at integer *positions* ``n, n+M, n+2M, ...`` with
+    below the binade top rounds to ``t + M*u``; ``(u, M)`` and the cases
+    that decline come from :func:`repro.core.lattice.grid`.  So chains
+    sharing one delay poll at integer *positions* ``n, n+M, n+2M, ...`` with
     ``n = t/u``, exact below ``2**53``; ``t_end``, ``bound_t`` and the
     deadlines are floats at or above ``t_lo``, hence exact positions too.
 
@@ -454,18 +468,12 @@ def _lattice_advance(chains, bound_t, bound_s, t_end, seq):
             t_lo = t
         if chain[6] < bound_t or t == bound_t:
             common = False
-    if not 0.0 < delay < t_lo or bound_t < t_lo or t_end < t_lo:
+    if bound_t < t_lo or t_end < t_lo:
         return None
-    u = ulp(t_lo)
-    ratio = delay / u  # exact: u is a power of two
-    step = int(ratio)
-    frac = ratio - step
-    if frac == 0.5:
+    found = grid(t_lo, delay)
+    if found is None:
         return None
-    if frac > 0.5:
-        step += 1
-    if not step:
-        return None  # the re-arm would round back onto its own poll
+    u, step = found
     top = _LATTICE_TOP
     bound = bound_t / u
     fired = []

@@ -50,13 +50,14 @@ import copy
 import math
 import os
 import types
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from repro.core.lattice import Lattice
 from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, Packet, PacketBlock
 from repro.core.ring import Ring
 from repro.core.units import wire_time_ns
@@ -544,7 +545,7 @@ def _clone_switch(sw: SoftwareSwitch) -> SoftwareSwitch:
 
     clone = copy.copy(sw)
     if type(sw) is OvsDpdk:
-        clone._emc = dict(sw._emc)
+        clone._emc = OrderedDict(sw._emc)
         clone._megaflows = set(sw._megaflows)
         clone.megaflow_entries = list(sw.megaflow_entries)
     elif type(sw) is Vpp:
@@ -614,7 +615,9 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
     """Evolve the mirror through every event with ``time <= t_end``.
 
     Performs the identical float operations in the identical order as
-    real dispatch; returns the number of events replayed.
+    real dispatch, or their closed form on a lattice of
+    :mod:`repro.core.lattice` (the ports' busy clocks, the idle grid),
+    bit-identical; returns the number of events replayed.
     """
     heap = st.heap
     # Loop-invariant locals (hot path).
@@ -643,6 +646,7 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
     block_cls = PacketBlock
     pop = heappop
     push = heappush
+    lattice0, lattice1, idle_lattice = Lattice(), Lattice(), Lattice()
 
     # Mirror registers.
     now = st.now
@@ -694,22 +698,33 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
                     idle_cc = idle_loop_cycles
                     idle_cd = idle_cc * 1e9 / freq
                 if ring_frames == 0 and heap:
-                    # Bulk-advance the idle grid to the next pending event
-                    # with the exact repeated float addition real re-arms
-                    # perform.  Stops before any tie so heap ordering
+                    # Bulk-advance the idle grid to the next pending event:
+                    # the polls the exact repeated float addition of real
+                    # re-arms reaches below it, counted on the idle
+                    # lattice.  Stops before any tie so heap ordering
                     # decides, exactly as dispatch would.
                     bound = heap[0][0]
                     d = idle_cd
                     tn = t + d
                     rearm_seq = seq
                     seq += 1
-                    while tn < bound and tn <= t_end:
-                        events += 1
-                        idle_streak += 1
-                        now = tn
-                        rearm_seq = seq
-                        seq += 1
-                        tn = tn + d
+                    if (
+                        d == idle_lattice.d and idle_lattice.lo <= tn
+                        and bound < idle_lattice.hi and bound <= t_end
+                    ):
+                        idle = -((tn - bound) // idle_lattice.step)
+                        if idle > 0:
+                            idle = int(idle)
+                            last = tn + (idle - 1) * idle_lattice.step
+                            tn = last + d
+                    else:
+                        idle, last, tn = idle_lattice.polls(tn, d, bound, t_end)
+                    if idle > 0:
+                        events += idle
+                        idle_streak += idle
+                        now = last
+                        rearm_seq = seq + idle - 1
+                        seq += idle
                     push(heap, (tn, rearm_seq, POLL, None))
                 else:
                     push(heap, (t + idle_cd, seq, POLL, None))
@@ -768,8 +783,11 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
             pkt_seq += burst
             busy = t if t >= busy0 else busy0
             if off0 + burst <= nd0 and (busy - t) + burst * wire0 <= maxb0:
-                for _ in range(burst):
-                    busy += wire0
+                end = busy + burst * lattice0.step
+                if lattice0.lo <= busy and end < lattice0.hi:
+                    busy = end
+                else:
+                    busy = lattice0.add(busy, wire0, burst)
                 off0 += burst
                 accepted = burst
             else:
@@ -823,8 +841,11 @@ def _replay(ctx: _Ctx, st: _Snap, backend: _Backend, t_end: float) -> int:
             for b in batch:
                 c = b.count
                 if off1 + c <= nd1 and (busy - t) + c * wire1 <= maxb1:
-                    for _ in range(c):
-                        busy += wire1
+                    end = busy + c * lattice1.step
+                    if lattice1.lo <= busy and end < lattice1.hi:
+                        busy = end
+                    else:
+                        busy = lattice1.add(busy, wire1, c)
                     off1 += c
                     accepted = c
                 else:

@@ -16,8 +16,10 @@ hinges on:
 from __future__ import annotations
 
 from heapq import heappush
+from math import inf
 from typing import TYPE_CHECKING, Protocol
 
+from repro.core.lattice import Lattice
 from repro.core.units import cycles_to_ns
 
 if TYPE_CHECKING:
@@ -82,6 +84,10 @@ class Core:
         # idle re-arm delay is recomputed only when the cycle count
         # changes, not once per idle iteration.
         self._idle_cache: tuple[float, float] = (-1.0, 0.0)
+        # The idle grid's lattice (repro.core.lattice): _unpark and the
+        # chain turbo count idle polls on it instead of adding the delay
+        # poll by poll.
+        self._idle_lattice = Lattice()
         # Idle-grid parking (pure-reactive tasks only, see start()).
         self._park_rings = None
         self._parked = False
@@ -185,9 +191,9 @@ class Core:
 
         Runs inside ``Ring.push`` at the arrival timestamp.  The next poll
         fires at the first grid point the busy-polling core would have
-        reached after this instant; the grid is reconstructed by the same
-        repeated float addition the per-iteration re-arm performs, so poll
-        times are bit-identical to never having parked.
+        reached after this instant; the grid is the repeated float
+        addition the per-iteration re-arm performs, counted on the idle
+        lattice, so poll times are bit-identical to never having parked.
         """
         self._parked = False
         for ring in self._park_rings:
@@ -197,8 +203,15 @@ class Core:
         delay = self._idle_cache[1]
         # The parking poll already ran at _parked_at; resume strictly after.
         t = self._parked_at + delay
-        while t < now:
-            t += delay
+        lattice = self._idle_lattice
+        if delay == lattice.d and lattice.lo <= t and now < lattice.hi:
+            # The skipped polls lie in t's binade: ceil((now - t) / step)
+            # of them, and the grid point after the last one.
+            skipped = -((t - now) // lattice.step)
+            if skipped > 0:
+                t = t + (skipped - 1) * lattice.step + delay
+        else:
+            t = lattice.polls(t, delay, now, inf)[2]
         sim.at(t, self._iterate)
 
     # -- fault hooks (repro.faults) ----------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.core.lattice import Lattice
 from repro.core.packet import Packet, PacketBlock, select_flows
 from repro.core.ring import Ring
 from repro.core.units import LINE_RATE_BPS, wire_time_ns
@@ -143,6 +144,9 @@ class NicPort:
         self.rx_moderation_ns: float | None = None
 
         self._tx_busy_until_ns = 0.0
+        #: The busy clock's lattice: a clean block's wire times add in
+        #: closed form (see :mod:`repro.core.lattice`).
+        self._wire_lattice = Lattice()
         self._pcie_stall_base: float | None = None
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -210,7 +214,9 @@ class NicPort:
         * Backlog bound.  ``busy`` only grows frame by frame and float
           addition and subtraction are monotone, so if the last frame
           passes the backlog test every earlier one did.  The block's
-          ``count`` additions are the per-frame loop's own, in its order.
+          ``count`` additions are the per-frame loop's own, in its order;
+          the first ``count - 1`` of them come from the port's lattice
+          (:mod:`repro.core.lattice`) in one step, bit-identical.
         """
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
@@ -221,6 +227,7 @@ class NicPort:
         flowstats = self.flowstats
         offered = self._offered
         next_drop = self._next_drop
+        lattice = self._wire_lattice
         arrivals: list[tuple[Packet | PacketBlock, float]] = []
         sent_frames = 0
         sent_bytes = 0
@@ -234,8 +241,11 @@ class NicPort:
                     # Block fast path (both tests in the docstring);
                     # count >= 1 is a PacketBlock invariant.
                     start = busy
-                    for _ in range(count - 1):
-                        busy += wire
+                    end = busy + (count - 1) * lattice.step
+                    if wire == lattice.d and lattice.lo <= busy and end < lattice.hi:
+                        busy = end
+                    else:
+                        busy = lattice.add(busy, wire, count - 1)
                     if busy - now <= max_backlog_ns:
                         busy += wire
                         offered += count

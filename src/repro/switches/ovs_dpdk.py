@@ -20,6 +20,8 @@ ablation bench sweeps this.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.core.packet import Packet
 from repro.switches.base import ForwardingPath, SoftwareSwitch
 from repro.switches.openflow import FlowMatch, OpenFlowTable
@@ -37,7 +39,8 @@ class OvsDpdk(SoftwareSwitch):
     def __init__(self, sim, rngs=None, bus=None, params=OVS_PARAMS, emc_entries: int = OVS_EMC_ENTRIES):
         super().__init__(sim, params, rngs=rngs, bus=bus)
         self.emc_entries = emc_entries
-        self._emc: dict[int, int] = {}
+        # Insertion-ordered for O(1) FIFO eviction (popitem(last=False)).
+        self._emc: OrderedDict[int, int] = OrderedDict()
         self._megaflows: set[int] = set()
         #: the ofproto rule table an external controller would populate
         #: (OvsCtl.ofctl_add_flow feeds it); consulted on upcalls.
@@ -99,7 +102,7 @@ class OvsDpdk(SoftwareSwitch):
         if len(self._emc) >= self.emc_entries:
             # EMC eviction is hash-indexed; dropping the oldest entry is a
             # fair stand-in for the occupancy behaviour we need.
-            self._emc.pop(next(iter(self._emc)))
+            self._emc.popitem(last=False)
             self.emc_evictions += 1
         self._emc[flow] = 1
 

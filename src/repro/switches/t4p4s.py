@@ -21,6 +21,8 @@ exposed for the ablation bench.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.core.packet import Packet
 from repro.cpu.costmodel import Cost
 from repro.switches.base import Attachment, ForwardingPath, SoftwareSwitch
@@ -98,7 +100,8 @@ class T4P4S(SoftwareSwitch):
         # single-flow runs keep the original lookup path bit-for-bit.
         self.flow_table_enabled = False
         self.flow_table_entries = T4P4S_FLOW_TABLE_ENTRIES
-        self._flow_keys: dict[int, int] = {}
+        # Insertion-ordered for O(1) FIFO eviction (popitem(last=False)).
+        self._flow_keys: OrderedDict[int, int] = OrderedDict()
         self.flow_hits = 0
         self.flow_misses = 0
         self.flow_evictions = 0
@@ -155,7 +158,7 @@ class T4P4S(SoftwareSwitch):
                         flowstats.cache(flow, count - 1, 1)
                     cycles += T4P4S_FLOW_MISS_EXTRA.per_packet
                     if len(keys) >= capacity:
-                        keys.pop(next(iter(keys)))
+                        keys.popitem(last=False)
                         self.flow_evictions += 1
                     keys[flow] = 1
                     self.flow_hits += count - 1

@@ -24,6 +24,8 @@ what :class:`~repro.core.ring.Ring` does natively.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.core.packet import Packet
 from repro.switches.base import Attachment, ForwardingPath, SoftwareSwitch
 from repro.switches.params import VALE_PARAMS
@@ -41,7 +43,9 @@ class Vale(SoftwareSwitch):
     ):
         super().__init__(sim, params, rngs=rngs, bus=bus)
         self.mac_entries = mac_entries
-        self._mac_table: dict[int, Attachment] = {}
+        # Insertion-ordered for O(1) FIFO eviction; re-learning a MAC
+        # keeps its slot.
+        self._mac_table: OrderedDict[int, Attachment] = OrderedDict()
         self.learned = 0
         self.flooded = 0
         self.mac_evictions = 0
@@ -98,7 +102,7 @@ class Vale(SoftwareSwitch):
                 # the occupancy stand-in (an eviction storm under a flow
                 # population wider than the table is the regime of
                 # interest, not which victim goes first).
-                table.pop(next(iter(table)))
+                table.popitem(last=False)
                 self.mac_evictions += 1
             self.learned += 1
         table[src] = input_port

@@ -52,7 +52,10 @@ class Vpp(SoftwareSwitch):
 
     def _on_forward(self, batch: list[Packet], path: ForwardingPath) -> None:
         vector = batch_count(batch)
+        runtimes = self.node_runtime
         for node in self._graph_nodes(path):
-            runtime = self.node_runtime.setdefault(node, NodeRuntime())
+            runtime = runtimes.get(node)
+            if runtime is None:
+                runtime = runtimes[node] = NodeRuntime()
             runtime.calls += 1
             runtime.vectors += vector

@@ -22,6 +22,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Simulator
+from repro.core.warp import _clone_switch
 from repro.core.packet import DEFAULT_DST_MAC, DEFAULT_SRC_MAC, Packet, PacketBlock
 from repro.flows import FlowPopulation
 from repro.switches.ovs_dpdk import OvsDpdk
@@ -200,6 +201,39 @@ class TestT4p4sFlowTableProperties:
             for flow, count in runs
         ]
         assert full._flow_table_cycles(blocks2) >= empty._flow_table_cycles(blocks)
+
+
+class TestFifoVictims:
+    """Each table evicts its oldest entry: insertion order, where a hit or
+    a re-learn leaves an entry's slot alone."""
+
+    def test_ovs_emc(self):
+        sw = OvsDpdk(Simulator(), emc_entries=4)
+        for flow in (0, 1, 2, 3, 0, 9):
+            sw._classify_run(flow, 1, None)
+        assert list(sw._emc) == [1, 2, 3, 9]
+        # The replay's clone evicts the same victim, leaving the original.
+        clone = _clone_switch(sw)
+        clone._classify_run(10, 1, None)
+        assert list(clone._emc) == [2, 3, 9, 10]
+        assert list(sw._emc) == [1, 2, 3, 9]
+
+    def test_vale_mac_table(self):
+        sw = Vale(Simulator(), mac_entries=4)
+        for src, port in ((0, "a"), (1, "a"), (2, "a"), (3, "a"), (0, "b"), (9, "a")):
+            sw._learn_src(src, port)
+        assert list(sw._mac_table.items()) == [(1, "a"), (2, "a"), (3, "a"), (9, "a")]
+        sw._learn_src(1, "b")
+        sw._learn_src(10, "a")
+        assert list(sw._mac_table) == [2, 3, 9, 10]
+        assert sw.mac_evictions == 2
+
+    def test_t4p4s_flow_table(self):
+        sw = _armed_t4p4s(capacity=4)
+        for flow in (0, 1, 2, 3, 0, 9):
+            sw._flow_table_cycles([PacketBlock(64, flow, 0xAA0000 + flow, 0xBB0000, 0.0)])
+        assert list(sw._flow_keys) == [1, 2, 3, 9]
+        assert sw.flow_evictions == 1
 
 
 class TestDeterministicEviction:

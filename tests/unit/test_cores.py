@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import Simulator
+from repro.core.packet import Packet
+from repro.core.ring import Ring
 from repro.cpu.cores import Core
 
 
@@ -119,3 +122,46 @@ def test_start_is_idempotent(sim):
 def test_cycles_to_ns_uses_core_frequency(sim):
     core = Core(sim, "c0", freq_hz=2.6e9)
     assert core.cycles_to_ns(2600) == pytest.approx(1000.0)
+
+
+class DrainTask:
+    """Pops its ring; pure-reactive (the core may park) when ``parks``."""
+
+    def __init__(self, ring, parks):
+        self.ring = ring
+        if parks:
+            self.park_rings = [ring]
+        self.served = []
+
+    def poll(self, core):
+        if not self.ring._frames:
+            return 0.0
+        self.served.append(core.sim.now)
+        self.ring.pop_batch(32)
+        return 500.0
+
+
+def test_unpark_resumes_at_the_busy_grid_point_across_binades():
+    """A parked core serves each frame at the poll where a busy-polling
+    core serves it: after a park that crosses binades (0 to 2**20), and
+    with the grid point past the last skipped poll lying above a power
+    of two (2**21 - 0.5)."""
+    arrivals = (2.0**20 - 1.0, 2.0**20 + 3_333.3, 2.0**21 - 0.5, 2.0**21 + 5_000.7,
+                2.0**21 + 45_000.1)
+
+    def served(parks):
+        sim = Simulator()
+        ring = Ring(64)
+        core = Core(sim, "monitor")
+        task = DrainTask(ring, parks)
+        core.attach(task)
+        core.start()
+        for t in arrivals:
+            sim.at(t, lambda: ring.push(Packet()))
+        sim.run_until(2.0**21 + 60_000.0)
+        assert (core._park_rings is not None) == parks
+        return task.served
+
+    parked = served(parks=True)
+    assert len(parked) == len(arrivals)
+    assert parked == served(parks=False)

@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Simulator
+from repro.core.lattice import Lattice
 from repro.core.packet import DEFAULT_SRC_MAC, Packet, PacketBlock
 from repro.core.units import line_rate_pps, wire_time_ns
 from repro.nic.port import NicPort, _drop_gap, dual_port_nic
+from tests._helpers import count_opcodes
 
 
 def _pair(sim, **kwargs):
@@ -230,11 +232,45 @@ _item_spec = st.tuples(
     salt=st.sampled_from([0, 1, (1 << 62) - 1]) | st.integers(min_value=0, max_value=(1 << 64) - 1),
     tx_slots=st.sampled_from([1, 4, 31, 64, 512]),
     busy_offset=st.floats(min_value=0.0, max_value=40_000.0),
+    # Calls and busy clock from 0, or from up to 60 us below 2**20,
+    # 2**21 or 2**22 ns, so that blocks straddle the power of two where
+    # the busy clock's lattice ends.
+    origin=st.just(0.0) | st.sampled_from([20, 21, 22]).flatmap(
+        lambda k: st.floats(min_value=2.0**k - 60_000.0, max_value=2.0**k)
+    ),
 )
-def test_block_path_matches_per_frame_loop(calls, prob, salt, tx_slots, busy_offset):
+@example(
+    # A 1024 B block fits the lattice below 2**21, where its step is an
+    # odd number of ulps, and the next one crosses 2**21.
+    calls=[(0.0, [(1024, 0.0, 0, 0, [2], False), (1024, 0.0, 0, 0, [8], False)])],
+    prob=0.0, salt=0, tx_slots=512, busy_offset=0.0, origin=2.0**21 - 3000.0,
+)
+def test_block_path_matches_per_frame_loop(calls, prob, salt, tx_slots, busy_offset, origin):
+    calls = [(origin + time_ns, specs) for time_ns, specs in calls]
+    busy_offset += origin
     fast = _serialise(calls, prob, salt, tx_slots, busy_offset, per_frame=False)
     reference = _serialise(calls, prob, salt, tx_slots, busy_offset, per_frame=True)
     assert fast == reference
+
+
+def _clean_block_opcodes(count):
+    """Bytecodes ``NicPort.send_batch`` runs for one clean block of
+    ``count`` frames, on the lattice an earlier block fitted."""
+    sim = Simulator()
+    sim.run_until(1_100_000.0)  # inside [2**20, 2**21) with room to spare
+    a, _ = _pair(sim, tx_slots=1 << 20)
+    a.driver_drop_prob = 0.0
+    a.send_batch([PacketBlock(count=count)])
+    opcodes = count_opcodes(
+        lambda: a.send_batch([PacketBlock(count=count)]),
+        (NicPort.send_batch.__code__, Lattice.add.__code__),
+    )
+    assert a.tx_packets == 2 * count
+    return opcodes
+
+
+def test_clean_block_costs_the_same_bytecodes_at_any_length():
+    assert _clean_block_opcodes(256) == _clean_block_opcodes(32)
 
 
 # -- the drop schedule ----------------------------------------------------------

@@ -12,12 +12,15 @@ from math import inf, nextafter
 
 import pytest
 
+from repro.core.engine import Simulator
+from repro.core.lattice import Lattice
 from repro.core.packet import Packet
 from repro.core.ring import Ring
 from repro.core.turbo import (
     _BENIGN,
     MIN_SPAN_POLLS,
     _advance,
+    _chain_delay,
     _core_profile,
     _first_due,
     _l2fwd_check,
@@ -32,6 +35,7 @@ from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
 from repro.vif.vhost_user import make_vhost_user_interface
 from repro.vm.apps import GuestL2Fwd
+from tests._helpers import count_opcodes
 
 pytestmark = pytest.mark.usefixtures("unwatched")
 
@@ -249,6 +253,52 @@ def test_lattice_declines(case):
         rows[2][6] = rows[2][0] - 1.0
     offset = rows[0][0] - 1100.0
     _assert_lattice(rows, 1600.0 + offset, 2, 2100.0 + offset, 100, decides=False)
+
+
+def _single_row(head):
+    """One table row on a fresh core's idle grid."""
+    core = Core(Simulator(), "c")
+    return [head, 5, None, core, _chain_delay(core), 0, inf]
+
+
+@pytest.mark.parametrize("binding", ["bound", "deadline", "t_end", "power-of-two"])
+def test_single_row_advance_matches_the_literal_loop(binding):
+    """A single row counts its polls on its core's idle lattice; the
+    one-chain merge is the literal loop.  Each case runs twice: on a
+    fresh lattice, then on one fitted to the head's binade."""
+    row = _single_row(2.0**21 + 1000.0)
+    delay = row[4]
+    if binding == "power-of-two":
+        row[0] = 2.0**21 - 200.5 * delay
+    head = row[0]
+    bound_t, t_end = head + 300.5 * delay, head + 900.0 * delay
+    if binding == "deadline":
+        row[6] = head + 120.25 * delay
+    elif binding == "t_end":
+        t_end = head + 80.75 * delay
+    for fitted in (False, True):
+        if fitted:
+            assert row[3]._idle_lattice.fit(head + delay, delay)
+        ref = [list(row)]
+        expected = _merge_advance(ref, bound_t, 9, t_end, 100)
+        out = [list(row)]
+        assert _advance(out, bound_t, 9, t_end, 100) == expected
+        assert out == ref
+    assert expected[0] == {"deadline": 121, "t_end": 81}.get(binding, 301)
+
+
+def _single_row_opcodes(polls):
+    """Bytecodes of a single-row ``_advance`` over ``polls`` polls, on a
+    lattice fitted by an earlier call."""
+    row = _single_row(2.0**21 + 1000.0)
+    bound_t = row[0] + (polls - 0.5) * row[4]
+    span = lambda: _advance([list(row)], bound_t, 9, 2.0**22, 100)  # noqa: E731
+    assert span()[0] == polls
+    return count_opcodes(span, (_advance.__code__, Lattice.polls.__code__))
+
+
+def test_single_row_advance_costs_the_same_bytecodes_at_any_length():
+    assert _single_row_opcodes(1000) == _single_row_opcodes(10)
 
 
 def test_turbo_registers_the_timeline_sampler_as_benign():

@@ -235,7 +235,14 @@ DEVIATIONS = """## Known deviations from the paper
    the pass's runs repeat one realisation of the loss, a sparse one,
    instead of averaging many.  Trial replicas (`--seed-policy trial`)
    each draw their own schedule through the salt; a run's seed does not
-   change it.
+   change it.  One single-frame drop can move a saturating cell by a
+   whole batch: Fig. 4a's t4p4s p2p 1024 B bidirectional cell (seed 1,
+   default windows) meters 3,551 frames per direction (19.77 Gbps) with
+   drops on and 3,584 (19.96) with `DRIVER_DROP_PROB = 0`.  The run
+   loses 4 single frames to driver drops (`gen-nic.p0` twice,
+   `sut-nic.p0`, `sut-nic.p1`) and none to a ring or the tx backlog; a
+   drop shifts the phase of the batches, so the 3 ms window's edge cuts
+   about one batch earlier per direction.
 
 """
 
