@@ -125,30 +125,22 @@ def validate(
     one arbitrary interpretation, so that is an error.  ``repeat=1``
     (the default) is bit-identical to the pre-soundness battery.
     """
+    from repro.measure.soundness import SEED_POLICIES, trial_specs
+
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     if repeat > 1 and seed_policy is None:
-        from repro.measure.soundness import SEED_POLICIES
-
         raise ValueError(
             "repeat > 1 requires an explicit seed_policy "
             f"(one of {SEED_POLICIES}): replicas must state whether they "
             "are soundness trials or whole-workload reseeds"
         )
-    if seed_policy not in (None, "trial", "reseed"):
-        from repro.measure.soundness import SEED_POLICIES
 
-        raise ValueError(
-            f"unknown seed policy {seed_policy!r}; known: {SEED_POLICIES}"
-        )
+    def replicas(spec: RunSpec) -> list[RunSpec]:
+        return [spec] if seed_policy is None else trial_specs(spec, repeat, seed_policy)
+
     windows = dict(warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed)
-    specs = _battery(warmup_ns, measure_ns, seed)
-    if repeat > 1:
-        from repro.measure.soundness import trial_specs
-
-        specs = [
-            rep for spec in specs for rep in trial_specs(spec, repeat, seed_policy)
-        ]
+    specs = [rep for spec in _battery(warmup_ns, measure_ns, seed) for rep in replicas(spec)]
     # Anchors shared between criteria (e.g. snabb p2v feeds both Fig. 4b
     # and the Fig. 4c ordering) are simulated once.
     campaign = CampaignSpec(name="validate", runs=tuple(specs)).deduplicated()
@@ -170,13 +162,7 @@ def validate(
                 metrics_sink[outcome.spec.label] = outcome.metrics
 
     def replicas_of(spec: RunSpec) -> list[RunSpec]:
-        if repeat > 1:
-            from repro.measure.soundness import trial_specs
-
-            reps = trial_specs(spec, repeat, seed_policy)
-        else:
-            reps = [spec]
-        return [replace(rep, obs=obs_items) for rep in reps]
+        return [replace(rep, obs=obs_items) for rep in replicas(spec)]
 
     def gbps(spec: RunSpec) -> float:
         values = []

@@ -7,24 +7,26 @@ horizon executes billions of switch breaths no matter how cleverly the
 idle gaps are skipped.  The fluid tier trades bit-identity for a bounded
 relative error: it runs the testbed exactly through warm-up plus a short
 **calibration slice** of the measurement window, checks that the slice
-is rate-stable (two halves agree within tolerance), then evolves every
-meter's counters piecewise-linearly to the window edge and discards the
-remaining events.  Flow-table effects (EMC/MAC/flow-table hit rates)
-need no special casing: the calibration slice executes them exactly, so
-their folded cost is already inside the measured rate.
+is rate-stable (two halves agree within tolerance, and each holds enough
+frames to tell), then evolves every meter's counters piecewise-linearly
+to the window edge and discards the remaining events.  Flow-table
+effects (EMC/MAC/flow-table hit rates) need no special casing: the
+calibration slice executes them exactly, so their folded cost is
+already inside the measured rate.
 
 Fluid mode is **opt-in** (``REPRO_FLUID=1`` or ``--fluid``) and carries
-its own validation tier: ``tools/fluid_check.py`` A/B-compares fluid
-against exact mode on a switch grid and CI gates the relative error at
-the declared tolerance (:data:`FLUID_TOLERANCE`, 5%).  When enabled it
-joins the campaign cache fingerprint (via
-:func:`repro.core.warp.engine_features`) so fluid rows can never collide
-with exact rows.  Probes and transients stay exact: latency samples come
-from the calibration slice, and runs with fault plans, churn, telemetry
-sessions or per-packet tracing decline to the exact tiers.  Like them,
-:func:`try_fluid` reports a :class:`~repro.core.warp.WarpReport` (mode
-``"fluid"``); :func:`repro.measure.runner.drive` decides whether it runs
-and what runs after a decline.
+its own validation: the differential oracle (``tools/oracle.py``)
+A/B-compares fluid against exact mode on a switch grid, predicts its
+decline reasons, and CI gates the relative error at the declared
+tolerance (:data:`FLUID_TOLERANCE`, 5%).  When enabled it joins the
+campaign cache fingerprint (via :func:`repro.core.warp.engine_features`)
+so fluid rows can never collide with exact rows.  Probes and transients
+stay exact: latency samples come from the calibration slice, and runs
+with fault plans, churn, telemetry sessions or per-packet tracing
+decline to the exact tiers.  Like them, :func:`try_fluid` reports a
+:class:`~repro.core.warp.WarpReport` (mode ``"fluid"``);
+:func:`repro.measure.runner.drive` decides whether it runs and what runs
+after a decline.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ if TYPE_CHECKING:
 
 #: Fluid algorithm revision; joins the campaign cache fingerprint
 #: whenever fluid mode is enabled.
-FLUID_VERSION = 1
+#: 2: a calibration half too short to resolve the tolerance declines.
+FLUID_VERSION = 2
 
 #: Fraction of the measurement window executed exactly for calibration,
 #: and its clamps.  The cap is what buys hour-scale speedups: a 1-hour
@@ -53,8 +56,10 @@ CAL_CAP_NS = 8_000_000.0
 #: tier gates on it.
 FLUID_TOLERANCE = 0.05
 
-#: Half-vs-half packet-count slack that absorbs burst quantisation at
-#: low rates (sources emit up to 32-frame bursts).
+#: Half-vs-half packet-count drift that burst quantisation alone can
+#: cause (sources emit up to 32-frame bursts).  A half-slice holding
+#: fewer than ``QUANT_SLACK_PACKETS / FLUID_TOLERANCE`` frames cannot
+#: tell a drift within the tolerance from one beyond it.
 QUANT_SLACK_PACKETS = 64
 
 
@@ -112,10 +117,8 @@ def try_fluid(tb: "Testbed", t_open: float, t_close: float) -> WarpReport:
         first = packets_mid - packets0
         second = packets1 - packets_mid
         peak = max(first, second)
-        if not peak:
-            continue
         drift = abs(first - second)
-        if drift / peak > FLUID_TOLERANCE and drift > QUANT_SLACK_PACKETS:
+        if max(drift, QUANT_SLACK_PACKETS) > FLUID_TOLERANCE * peak:
             return WarpReport(
                 engaged=False, reason="unstable-rate", verify_ns=cal_ns, mode="fluid"
             )

@@ -247,10 +247,15 @@ class Core:
         """Change the core clock (thermal throttling episodes).
 
         Invalidates the idle-delay memo, which caches a *time* computed at
-        the old frequency under a cycle-count key.
+        the old frequency under a cycle-count key.  A parked core first
+        rejoins its old grid at the first point at or after now, so that
+        poll reads the new delay, as a busy-polling core's pending poll
+        would.
         """
         if freq_hz <= 0:
             raise ValueError(f"core frequency must be positive, got {freq_hz}")
+        if self._parked:
+            self._unpark()
         self.freq_hz = freq_hz
         self._idle_cache = (-1.0, 0.0)
 

@@ -159,39 +159,28 @@ def ndr_search(
         raise ValueError("trials must be >= 1")
     if not 0.0 <= loss_percentile <= 100.0:
         raise ValueError("loss_percentile must be in [0, 100]")
+    from repro.measure.soundness import percentile
+
     line = line_rate_pps(frame_size)
     visited: list[tuple[float, float]] = []
     trial_records: list[tuple[float, tuple[float, ...]]] = []
 
-    if trials == 1:
-
-        def carries(rate: float) -> bool:
-            loss = measure_loss(
+    def carries(rate: float) -> bool:
+        # Trial 0 reaches the builder without a ``trial`` kwarg, and the
+        # percentile of one loss is that loss.
+        losses = tuple(
+            measure_loss(
                 build, switch_name, frame_size, rate,
                 warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-                **build_kwargs,
+                trial=k, **build_kwargs,
             )
-            allowance = tolerance_packets / (rate * measure_ns / 1e9)
-            visited.append((rate, loss))
-            return loss <= loss_threshold + allowance
-
-    else:
-        from repro.measure.soundness import percentile
-
-        def carries(rate: float) -> bool:
-            losses = tuple(
-                measure_loss(
-                    build, switch_name, frame_size, rate,
-                    warmup_ns=warmup_ns, measure_ns=measure_ns, seed=seed,
-                    trial=k, **build_kwargs,
-                )
-                for k in range(trials)
-            )
-            loss = percentile(losses, loss_percentile)
-            allowance = tolerance_packets / (rate * measure_ns / 1e9)
-            visited.append((rate, loss))
-            trial_records.append((rate, losses))
-            return loss <= loss_threshold + allowance
+            for k in range(trials)
+        )
+        loss = percentile(losses, loss_percentile)
+        allowance = tolerance_packets / (rate * measure_ns / 1e9)
+        visited.append((rate, loss))
+        trial_records.append((rate, losses))
+        return loss <= loss_threshold + allowance
 
     def refine(low: float, high: float, best: float, steps: int) -> float:
         for _ in range(steps):
@@ -221,6 +210,6 @@ def ndr_search(
         trials=tuple(visited),
         trials_per_point=trials,
         loss_percentile=loss_percentile if trials > 1 else None,
-        trial_records=tuple(trial_records),
+        trial_records=tuple(trial_records) if trials > 1 else (),
         ci=ci,
     )

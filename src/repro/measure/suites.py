@@ -195,36 +195,23 @@ class TestSuite:
         keeps the legacy consecutive-seed replicas that reseed the whole
         workload.
         """
-        from dataclasses import replace
-
         from repro.campaign.executor import run_campaign
         from repro.campaign.spec import CampaignSpec, RunFailure, runspec_from_experiment
+        from repro.measure.soundness import trial_specs
 
-        if seed_policy not in (None, "trial", "reseed"):
-            from repro.measure.soundness import SEED_POLICIES
-
-            raise ValueError(
-                f"unknown seed policy {seed_policy!r}; known: {SEED_POLICIES}"
-            )
-        use_trials = seed_policy == "trial"
         spec_map: dict[str, list] = {}
         runs = []
         for experiment in self.experiments:
-            spec_map[experiment.name] = []
-            for k in range(repeat):
-                spec = runspec_from_experiment(
-                    experiment, switch_name, warmup_ns, measure_ns,
-                    seed if use_trials else seed + k,
+            spec = runspec_from_experiment(
+                experiment, switch_name, warmup_ns, measure_ns, seed
+            )
+            if spec is None:
+                raise ValueError(
+                    f"experiment {experiment.name!r} uses a custom builder; "
+                    "run it via ExperimentSpec.run instead"
                 )
-                if spec is None:
-                    raise ValueError(
-                        f"experiment {experiment.name!r} uses a custom builder; "
-                        "run it via ExperimentSpec.run instead"
-                    )
-                if use_trials and k:
-                    spec = replace(spec, trial=k)
-                spec_map[experiment.name].append(spec)
-                runs.append(spec)
+            spec_map[experiment.name] = trial_specs(spec, repeat, seed_policy or "reseed")
+            runs += spec_map[experiment.name]
 
         campaign = CampaignSpec(name=f"suite:{self.name}/{switch_name}", runs=tuple(runs))
         if flows != 1 or flow_dist != "uniform" or churn or size_mix is not None:

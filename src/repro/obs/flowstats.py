@@ -319,8 +319,6 @@ class FlowStats:
         the list :meth:`NicPort.send_batch` builds while puncturing a
         multi-flow block; frames not in ``kept`` were dropped.
         """
-        sent: list[tuple[int, int]] = []
-        lost: list[tuple[int, int]] = []
         cursor = 0
         end = 0
         total_kept = len(kept)
@@ -330,14 +328,12 @@ class FlowStats:
             while cursor < total_kept and kept[cursor] < end:
                 kept_here += 1
                 cursor += 1
+            # Run by run, as per-frame sends attribute the frames: which
+            # record a full table evicts depends on the order of updates.
             if kept_here:
-                sent.append((flow, kept_here))
+                self.wire_runs(((flow, kept_here),), size)
             if count - kept_here:
-                lost.append((flow, count - kept_here))
-        if sent:
-            self.wire_runs(sent, size)
-        if lost:
-            self.drop_runs(lost, size)
+                self.drop_runs(((flow, count - kept_here),), size)
 
     # -- reporting ---------------------------------------------------------
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-# Make tests/_helpers.py importable from nested test packages.
+# Make tests/_helpers.py and the differential oracle (tools/oracle.py)
+# importable from nested test packages.
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
 from repro.core.engine import Simulator
 from repro.core.rng import RngRegistry

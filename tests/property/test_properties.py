@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -405,70 +404,3 @@ class TestBlockIntegrityUnderFaults:
         assert block.seq0 == seq0 + k
         assert front.seq0 + front.count == block.seq0
 
-
-class TestWarpIdentityProperties:
-    """The steady-state fast-forward is invisible in every observable.
-
-    Property: for ANY (switch, traffic shape, seed) drawn here, driving
-    the same testbed with warp off and warp on yields bit-identical full
-    state fingerprints -- every counter, timestamp, stats accumulator
-    and RNG state.  Configurations where the warp declines (probes,
-    bidirectional, pipeline switches) satisfy this trivially, and that
-    is the point: declining is a correct answer, diverging never is.
-    """
-
-    SWITCHES = ("ovs-dpdk", "vpp", "bess", "fastclick", "t4p4s", "snabb", "vale")
-    CONFIGS = (
-        ("saturating", {}),
-        ("paced", {"rate_pps": 3_000_000.0}),
-        ("probed", {"probe_interval_ns": 40_000.0}),
-        ("bidi", {"bidirectional": True}),
-    )
-
-    @seed(20260806)
-    @settings(max_examples=12, deadline=None)
-    @given(
-        st.sampled_from(SWITCHES),
-        st.sampled_from(CONFIGS),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_warp_never_changes_any_observable(self, switch, config, run_seed):
-        from repro.core.warp import state_fingerprint
-        from repro.measure.runner import drive
-        from repro.scenarios import p2p
-
-        label, kwargs = config
-        results = []
-        fingerprints = []
-        for warp in (False, True):
-            tb = p2p.build(switch, frame_size=64, seed=run_seed, **kwargs)
-            result = drive(tb, warmup_ns=400_000.0, measure_ns=1_600_000.0, warp=warp)
-            results.append(result)
-            fingerprints.append(state_fingerprint(tb))
-        assert fingerprints[0] == fingerprints[1], (switch, label, run_seed)
-        off, on = results
-        assert [repr(v) for v in off.per_direction_gbps] == [
-            repr(v) for v in on.per_direction_gbps
-        ]
-        assert [repr(v) for v in off.per_direction_mpps] == [
-            repr(v) for v in on.per_direction_mpps
-        ]
-        assert off.events == on.events
-
-    @pytest.mark.usefixtures("unwatched")
-    @seed(20260807)
-    @settings(max_examples=8, deadline=None)
-    @given(st.sampled_from(("ovs-dpdk", "vpp", "bess")), st.integers(min_value=1, max_value=5))
-    def test_warp_engages_on_clean_p2p(self, switch, run_seed):
-        """On the shapes warp targets, it must actually engage (a silent
-        blanket decline would also pass the identity property)."""
-        from repro.measure.runner import drive
-        from repro.scenarios import p2p
-
-        tb = p2p.build(switch, frame_size=64, rate_pps=3_000_000.0, seed=run_seed)
-        result = drive(tb, warmup_ns=400_000.0, measure_ns=1_600_000.0, warp=True)
-        assert result.warp is not None and result.warp.engaged, (
-            switch,
-            run_seed,
-            result.warp.describe() if result.warp else None,
-        )

@@ -1,36 +1,18 @@
-"""Property-based tests for the fast-forward tiers' contracts.
+"""Property-based tests for the chain turbo's lattice advance.
 
-Five contracts, sampled with pinned hypothesis seeds so CI failures
-reproduce:
+The turbo's closed-form multi-chain advance either declines (leaving the
+chain rows untouched) or returns exactly what the k-way ``(time, seq)``
+merge returns and leaves the same rows, across lock-step groups and
+independent poll grids, bounds at chain heads, deadlines at or below
+heads, ``t_end`` cuts on polls, heads just below a power of two,
+half-ulp delays and the table's common case (every deadline and
+``t_end`` at or past the bound); it decides every span whose polls stay
+inside one binade, and takes its closed-form common case where it
+applies.  Sampled with pinned hypothesis seeds so CI failures reproduce.
 
-1. **Replay observable-invariance** -- on clean unidirectional p2p the
-   replay tier, which verifies the run's opening slice and replays the
-   rest, warm-up included, is bit-identical to warp-off runs wherever
-   the window opens (in the verify slice or in the replay), for sampled
-   (switch, rate, warm-up, trial, seed).
-2. **Turbo observable-invariance** -- on every turbo-eligible shape,
-   warp-on runs are bit-identical to warp-off runs: same end-state
-   fingerprint, same per-direction rates (repr-compared), same event
-   count, for sampled (switch, shape, rate, seed).
-3. **Fluid tolerance** -- when the fluid tier engages, the extrapolated
-   rate is within the declared tolerance of the exact rate, across a
-   sampled (rate, seed, window) grid.
-4. **Between-fault exactness** -- a resilience run with the chain turbo
-   warping the inter-fault stretches reproduces the event-exact
-   degradation timeline and recovery metrics bit-for-bit, for sampled
-   fault instants and durations.
-5. **Lattice chain advance** -- the turbo's closed-form multi-chain
-   advance either declines (leaving the chain rows untouched) or returns
-   exactly what the k-way ``(time, seq)`` merge returns and leaves the
-   same rows, across lock-step groups and independent poll grids, bounds
-   at chain heads, deadlines at or below heads, ``t_end`` cuts on polls,
-   heads just below a power of two, half-ulp delays and the table's
-   common case (every deadline and ``t_end`` at or past the bound); it
-   decides every span whose polls stay inside one binade, and takes its
-   closed-form common case where it applies.
-
-Contract 2 also runs on loopback chains of 1-5 VNFs on every switch,
-where VNF cores poll in lock-step groups and spans gather 4-6 chains.
+Every tier's end-to-end exactness -- replay, turbo, fluid and the
+between-fault segments of resilience runs -- is the differential
+oracle's (``tools/oracle.py``, ``tests/property/test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -39,191 +21,10 @@ import inspect
 import sys
 from math import inf, nextafter
 
-import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.core.fluid import FLUID_TOLERANCE
 from repro.core.turbo import _advance, _lattice_advance, _merge_advance
-from repro.core.units import line_rate_pps
-from repro.core.warp import state_fingerprint
-from repro.measure.runner import drive
-from repro.scenarios import loopback, p2p, p2v, v2v
-
-pytestmark = pytest.mark.usefixtures("unwatched")
-
-#: Turbo-eligible shapes beyond clean uni p2p (which replay covers) and
-#: a sub-capacity rate band per shape (slowest-switch headroom).
-SHAPES = {
-    "p2p-bidi": (p2p.build, {"bidirectional": True}, 0.5e6, 2.0e6),
-    "p2v": (p2v.build, {}, 0.3e6, 1.0e6),
-    "v2v": (v2v.build, {}, 0.2e6, 0.8e6),
-    "loopback": (loopback.build, {"n_vnfs": 2}, 0.1e6, 0.5e6),
-}
-
-EXACT_SWITCHES = ["bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s"]
-ALL_SWITCHES = EXACT_SWITCHES + ["snabb", "vale"]
-
-
-class TestReplayInvariance:
-    @seed(20261017)
-    @settings(max_examples=15, deadline=None)
-    @given(
-        switch=st.sampled_from(EXACT_SWITCHES),
-        # Sub-capacity up to line rate, past every switch's capacity.
-        rate=st.floats(min_value=0.3e6, max_value=line_rate_pps(64)),
-        # No warm-up; the window opening inside the verify slice; and
-        # opening inside the replay.
-        warmup_ns=st.sampled_from([0.0, 100_000.0, 600_000.0]),
-        trial=st.sampled_from([0, 3]),
-        run_seed=st.integers(min_value=1, max_value=1_000_000),
-    )
-    def test_warp_on_matches_warp_off(self, switch, rate, warmup_ns, trial, run_seed):
-        def run(warp):
-            tb = p2p.build(switch, frame_size=64, rate_pps=rate, seed=run_seed, trial=trial)
-            res = drive(tb, warmup_ns=warmup_ns, measure_ns=7e5, warp=warp)
-            return res, state_fingerprint(tb)
-
-        r_off, f_off = run(False)
-        r_on, f_on = run(True)
-        assert r_on.warp is not None and r_on.warp.engaged
-        assert r_on.warp.mode == "replay"
-        # The fingerprint includes the meter's warm-up count, which the
-        # replay accumulates for every arrival before the window opens.
-        assert f_off == f_on
-        assert [repr(v) for v in r_off.per_direction_gbps] == [
-            repr(v) for v in r_on.per_direction_gbps
-        ]
-        assert r_off.events == r_on.events
-
-
-class TestTurboInvariance:
-    @seed(20260807)
-    @settings(max_examples=8, deadline=None)
-    @given(
-        shape=st.sampled_from(sorted(SHAPES)),
-        switch=st.sampled_from(EXACT_SWITCHES),
-        rate_frac=st.floats(min_value=0.0, max_value=1.0),
-        run_seed=st.integers(min_value=1, max_value=1_000_000),
-    )
-    def test_warp_on_matches_warp_off(self, shape, switch, rate_frac, run_seed):
-        build, kwargs, lo, hi = SHAPES[shape]
-        rate = lo + rate_frac * (hi - lo)
-        bidir = kwargs.get("bidirectional", False)
-
-        def run(warp):
-            tb = build(switch, frame_size=64, rate_pps=rate, seed=run_seed, **kwargs)
-            res = drive(
-                tb, warmup_ns=2e5, measure_ns=2.5e6,
-                bidirectional=bidir, warp=warp,
-            )
-            return res, state_fingerprint(tb)
-
-        r_off, f_off = run(False)
-        r_on, f_on = run(True)
-        assert r_on.warp is not None and r_on.warp.engaged
-        assert f_off == f_on
-        assert [repr(v) for v in r_off.per_direction_gbps] == [
-            repr(v) for v in r_on.per_direction_gbps
-        ]
-        assert r_off.events == r_on.events
-
-
-class TestChainTurboInvariance:
-    @seed(20261017)
-    @settings(max_examples=8, deadline=None)
-    @given(
-        switch=st.sampled_from(ALL_SWITCHES),
-        n_vnfs=st.integers(min_value=1, max_value=5),
-        saturating=st.booleans(),
-        rate_frac=st.floats(min_value=0.0, max_value=1.0),
-        run_seed=st.integers(min_value=1, max_value=1_000_000),
-    )
-    def test_warp_on_matches_warp_off(self, switch, n_vnfs, saturating, rate_frac, run_seed):
-        if switch == "bess":
-            n_vnfs = min(n_vnfs, 3)  # BESS hosts at most three VNFs
-        # Sub-capacity: below every switch's 5-VNF capacity.
-        rate = None if saturating else 0.05e6 + rate_frac * 0.2e6
-
-        def run(warp):
-            tb = loopback.build(
-                switch, frame_size=64, rate_pps=rate, seed=run_seed, n_vnfs=n_vnfs
-            )
-            res = drive(tb, warmup_ns=1e5, measure_ns=5e5, warp=warp)
-            return res, state_fingerprint(tb)
-
-        r_off, f_off = run(False)
-        r_on, f_on = run(True)
-        assert r_on.warp is not None and r_on.warp.engaged
-        assert r_on.warp.mode == "turbo"
-        assert f_off == f_on
-        assert [repr(v) for v in r_off.per_direction_gbps] == [
-            repr(v) for v in r_on.per_direction_gbps
-        ]
-        assert r_off.events == r_on.events
-
-
-class TestFluidTolerance:
-    @seed(20260807)
-    @settings(max_examples=6, deadline=None)
-    @given(
-        rate_mpps=st.floats(min_value=0.5, max_value=5.0),
-        run_seed=st.integers(min_value=1, max_value=1_000_000),
-        window_ms=st.floats(min_value=20.0, max_value=80.0),
-    )
-    def test_fluid_rate_within_tolerance(self, rate_mpps, run_seed, window_ms):
-        rate = rate_mpps * 1e6
-        measure_ns = window_ms * 1e6
-
-        def run(fluid):
-            tb = p2p.build("vpp", frame_size=64, rate_pps=rate, seed=run_seed)
-            return drive(tb, warmup_ns=6e5, measure_ns=measure_ns, fluid=fluid)
-
-        exact = run(False)
-        approx = run(True)
-        assert approx.fluid is not None and approx.fluid.engaged
-        assert exact.mpps > 0
-        rel_err = abs(approx.mpps - exact.mpps) / exact.mpps
-        assert rel_err <= FLUID_TOLERANCE, (
-            f"fluid {approx.mpps} vs exact {exact.mpps}: {rel_err:.4%}"
-        )
-
-
-class TestBetweenFaultExactness:
-    @seed(20260807)
-    @settings(max_examples=5, deadline=None)
-    @given(
-        fault_frac=st.floats(min_value=0.1, max_value=0.7),
-        duration_ns=st.floats(min_value=1e5, max_value=6e5),
-        run_seed=st.integers(min_value=1, max_value=1_000_000),
-    )
-    def test_resilience_timeline_bit_identical(
-        self, fault_frac, duration_ns, run_seed
-    ):
-        from repro.faults.plan import FaultEvent, FaultPlan
-        from repro.measure.resilience import measure_resilience
-
-        warmup_ns, measure_ns = 6e5, 4e6
-
-        def run(warp):
-            plan = FaultPlan.of(
-                FaultEvent.from_dict(
-                    {"kind": "nic-link-flap", "target": "sut-nic.p1",
-                     "at_ns": warmup_ns + fault_frac * measure_ns,
-                     "duration_ns": duration_ns}
-                )
-            )
-            return measure_resilience(
-                p2p.build, "vpp", 64, plan,
-                warmup_ns=warmup_ns, measure_ns=measure_ns,
-                rate_pps=1e6, seed=run_seed, warp=warp,
-            )
-
-        res_off, rep_off, _ = run(False)
-        res_on, rep_on, _ = run(True)
-        assert rep_off.to_dict() == rep_on.to_dict()
-        assert repr(res_off.gbps) == repr(res_on.gbps)
-        assert res_off.events == res_on.events
 
 
 #: Idle re-arm delays: 30.77 ns is every default 2.6 GHz poll loop,

@@ -165,3 +165,32 @@ def test_unpark_resumes_at_the_busy_grid_point_across_binades():
     parked = served(parks=True)
     assert len(parked) == len(arrivals)
     assert parked == served(parks=False)
+
+
+def test_a_clock_change_unparks_the_core_onto_its_old_grid():
+    """A frequency change (a ``core-throttle`` fault's start or end) on a
+    parked core rejoins the old idle grid at its first point at or after
+    now; that poll reads the new idle delay, as a busy-polling core's
+    pending poll would.  The catch-up on the next arrival used to add a
+    zero delay forever."""
+    sim = Simulator()
+    ring = Ring(64)
+    core = Core(sim, "monitor")
+    task = DrainTask(ring, parks=True)
+    core.attach(task)
+    core.start()
+    sim.run_until(1_000.0)
+    assert core._parked and not sim._queue
+    old_delay = core._idle_cache[1]
+    grid_point = core._parked_at + old_delay
+    while grid_point < sim.now:
+        grid_point += old_delay
+
+    core.set_frequency(core.freq_hz / 2)
+    assert not core._parked
+    assert [(t, cb) for t, _seq, cb in sim._queue] == [(grid_point, core._iterate)]
+    sim.run_until(grid_point)
+    assert core._parked and core._idle_cache[1] == core.cycles_to_ns(core.idle_loop_cycles)
+    sim.at(grid_point + 100.0, lambda: ring.push(Packet()))
+    sim.run_until(grid_point + 1_000.0)
+    assert len(task.served) == 1

@@ -128,6 +128,30 @@ class TestWireSplit:
         stats.wire_split_runs(((3, 3),), [], 64)
         assert stats.records[3].drop_frames == 3
 
+    def test_a_full_table_sees_the_frames_in_send_order(self):
+        """A punctured block attributes its frames as per-frame sends
+        would: with the table full, the order of the updates decides which
+        record each newcomer evicts."""
+        runs = ((1, 2), (2, 1), (3, 1))
+        kept = [1, 2, 3]  # flow 1 loses its first frame
+
+        def preloaded():
+            stats = FlowStats(top_k=2)
+            stats.tx_runs(((9, 1),), 64)
+            return stats
+
+        blocks = preloaded()
+        blocks.wire_split_runs(runs, kept, 64)
+        frames = preloaded()
+        offset = 0
+        for flow, count in runs:
+            for _ in range(count):
+                site = frames.wire_runs if offset in kept else frames.drop_runs
+                site(((flow, 1),), 64)
+                offset += 1
+        assert blocks.summary() == frames.summary()
+        assert blocks.evictions == frames.evictions == 2
+
 
 class TestDerivedMetrics:
     def test_jain_index(self):

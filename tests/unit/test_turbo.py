@@ -1,8 +1,9 @@
 """Unit tests for the chain turbo (tier-1 exact fast-forward).
 
-The heavyweight bit-identity sweep lives in ``tools/warp_check.py`` and
-the property suite; these tests pin the engage/decline contract and the
-report plumbing on small windows.
+Bit-identity across switches, shapes, flows, faults and trials is the
+differential oracle's (``tools/oracle.py``); these tests pin the
+engage/decline contract, the table of idle chains and the report
+plumbing on small windows.
 """
 
 from __future__ import annotations
@@ -35,38 +36,12 @@ from repro.measure.runner import drive
 from repro.scenarios import loopback, p2p, p2v, v2v
 from repro.vif.vhost_user import make_vhost_user_interface
 from repro.vm.apps import GuestL2Fwd
+from oracle import Run, compare
 from tests._helpers import count_opcodes
 
 pytestmark = pytest.mark.usefixtures("unwatched")
 
 FAST = dict(warmup_ns=2e5, measure_ns=3e6)
-
-#: (builder, build kwargs, sub-capacity rate) for every turbo-eligible
-#: shape beyond clean unidirectional p2p (which the replay warp takes).
-MULTI_HOP = [
-    (p2p.build, {"bidirectional": True}, 2_000_000.0),
-    (p2v.build, {}, 1_000_000.0),
-    (v2v.build, {}, 800_000.0),
-    (loopback.build, {"n_vnfs": 2}, 500_000.0),
-]
-
-
-@pytest.mark.parametrize("build,kwargs,rate", MULTI_HOP)
-def test_turbo_engages_bit_identically_on_multi_hop_shapes(build, kwargs, rate):
-    bidir = kwargs.get("bidirectional", False)
-    tb_off = build("vpp", frame_size=64, rate_pps=rate, seed=1, **kwargs)
-    r_off = drive(tb_off, bidirectional=bidir, warp=False, **FAST)
-    tb_on = build("vpp", frame_size=64, rate_pps=rate, seed=1, **kwargs)
-    r_on = drive(tb_on, bidirectional=bidir, warp=True, **FAST)
-    assert r_on.warp is not None and r_on.warp.engaged
-    assert r_on.warp.mode == "turbo"
-    assert r_on.warp.describe().startswith("engaged[turbo]:")
-    assert state_fingerprint(tb_off) == state_fingerprint(tb_on)
-    assert [repr(v) for v in r_off.per_direction_gbps] == [
-        repr(v) for v in r_on.per_direction_gbps
-    ]
-    assert r_off.events == r_on.events
-
 
 def test_turbo_skips_simulated_time_in_bulk():
     tb = p2p.build("vpp", frame_size=64, rate_pps=1e6, seed=1, bidirectional=True)
@@ -79,17 +54,12 @@ def test_turbo_skips_simulated_time_in_bulk():
 
 def _assert_bit_identical(build, switch, kwargs, rate, window=FAST):
     """Run warp off and on; return the warp-on result after comparing."""
-    bidir = kwargs.get("bidirectional", False)
-    tb_off = build(switch, frame_size=64, rate_pps=rate, seed=1, **kwargs)
-    r_off = drive(tb_off, bidirectional=bidir, warp=False, **window)
-    tb_on = build(switch, frame_size=64, rate_pps=rate, seed=1, **kwargs)
-    r_on = drive(tb_on, bidirectional=bidir, warp=True, **window)
-    assert state_fingerprint(tb_off) == state_fingerprint(tb_on)
-    assert [repr(v) for v in r_off.per_direction_gbps] == [
-        repr(v) for v in r_on.per_direction_gbps
-    ]
-    assert r_off.events == r_on.events
-    return r_on
+    runs = []
+    for warp in (False, True):
+        tb = build(switch, frame_size=64, rate_pps=rate, seed=1, **kwargs)
+        runs.append(Run.of(tb, drive(tb, warp=warp, **window)))
+    assert compare(*runs) == []
+    return runs[1].result
 
 
 @pytest.mark.parametrize("switch", ["snabb", "vale"])
@@ -436,10 +406,8 @@ def test_every_row_is_back_on_the_heap_when_a_fault_fires(monkeypatch):
     assert len(seen) == 4  # start and stop, in each run
     for counts in seen:
         assert counts and all(count == 1 for count in counts)
-    assert rep_off.to_dict() == rep_on.to_dict()
-    assert repr(res_off.gbps) == repr(res_on.gbps)
-    assert res_off.events == res_on.events
-    assert state_fingerprint(testbeds[0]) == state_fingerprint(testbeds[-1])
+    off = Run.of(testbeds[0], res_off, rep_off)
+    assert compare(off, Run.of(testbeds[-1], res_on, rep_on)) == []
 
 
 class _WatchedRing(Ring):
@@ -479,5 +447,4 @@ def test_a_row_whose_ring_a_real_event_fills_leaves_at_its_next_poll(monkeypatch
     # With the turbo, the idle VNF's chain was in the table at most pushes.
     assert pushes_on.count(0) >= len(pushes_on) // 2
     assert fwd_on == fwd_off > 0
-    assert state_fingerprint(tb_off) == state_fingerprint(tb_on)
-    assert r_off.events == r_on.events
+    assert compare(Run.of(tb_off, r_off), Run.of(tb_on, r_on)) == []

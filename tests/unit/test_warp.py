@@ -4,7 +4,7 @@ The warp's contract has two halves, and both get tested here:
 
 * when it engages, the fast-forwarded run is *bit-identical* to the
   event-by-event run -- every counter, timestamp, stats accumulator and
-  RNG state (see also the property tests and tools/warp_check.py);
+  RNG state (see also the differential oracle, tools/oracle.py);
 * when the run is not provably replay-safe (faults armed, per-packet
   observers, probes, non-p2p shapes...) it declines automatically, with
   a stable reason surfaced in the WarpReport.
@@ -40,6 +40,7 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.measure.runner import drive
 from repro.nic.port import NicPort
 from repro.scenarios import p2p, v2v
+from oracle import Run, compare
 
 pytestmark = pytest.mark.usefixtures("unwatched")
 
@@ -153,11 +154,7 @@ def test_warp_engages_and_is_bit_identical(switch):
     assert r_off.warp is None
     assert r_on.warp is not None and r_on.warp.engaged, r_on.warp.describe()
     assert r_on.warp.warped_ns > 0
-    assert state_fingerprint(off) == state_fingerprint(on)
-    assert [repr(v) for v in r_off.per_direction_gbps] == [
-        repr(v) for v in r_on.per_direction_gbps
-    ]
-    assert r_off.events == r_on.events
+    assert compare(Run.of(off, r_off), Run.of(on, r_on)) == []
 
 
 @pytest.mark.parametrize("switch", ["bess", "vpp"])
@@ -167,13 +164,12 @@ def test_replay_follows_the_trial_salted_drop_schedule(switch, trial):
     # gaps with the unsalted port-name key replays the base run's drops
     # instead.
     runs = []
-    for warp in (True, False):
+    for warp in (False, True):
         tb = p2p.build(switch, 64, rate_pps=8e6, trial=trial, seed=1)
-        result = drive(tb, warmup_ns=WARMUP, measure_ns=6_000_000.0, warp=warp)
-        runs.append((result.warp, state_fingerprint(tb)))
-    (report, on), (_, off) = runs
+        runs.append(Run.of(tb, drive(tb, warmup_ns=WARMUP, measure_ns=6_000_000.0, warp=warp)))
+    report = runs[1].result.warp
     assert report is not None and report.engaged and report.mode == "replay"
-    assert on == off
+    assert compare(*runs) == []
 
 
 @pytest.mark.parametrize("switch", REPLAY_SWITCHES)
@@ -235,18 +231,13 @@ def test_replay_matches_dispatch_under_frequent_driver_hiccups(switch, rate_pps)
         ports = tb.extras["gen_ports"] + tb.extras["sut_ports"]
         for port in ports:
             port.driver_drop_prob = 2e-2
-        result = _drive(tb, warp=warp)
+        runs.append(Run.of(tb, _drive(tb, warp=warp)))
         drops = {port.name: port.driver_drops for port in ports}
-        runs.append((result, state_fingerprint(tb), drops))
-    (off, off_state, _), (on, on_state, drops) = runs
+    on = runs[1].result
     assert on.warp is not None and on.warp.engaged and on.warp.mode == "replay", (
         on.warp.describe()
     )
-    assert on_state == off_state
-    assert [repr(v) for v in on.per_direction_gbps] == [
-        repr(v) for v in off.per_direction_gbps
-    ]
-    assert on.events == off.events
+    assert compare(*runs) == []
     assert drops["gen-nic.p0"] > 0 and drops["sut-nic.p1"] > 0
 
 
