@@ -17,11 +17,16 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.measure.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS
+from repro.scenarios import BUILDERS
 
-#: Scenarios a RunSpec may name (the paper's Fig. 2 plus the Table 4
-#: latency variant of v2v).
-SCENARIOS = ("p2p", "p2v", "v2v", "loopback")
+#: Scenarios a RunSpec may name (the paper's Fig. 2; ``kind='latency'``
+#: on v2v is the Table 4 latency variant).
+SCENARIOS = tuple(BUILDERS)
 KINDS = ("throughput", "latency", "resilience")
+#: Optional RunRecord columns: omitted from :meth:`RunRecord.to_dict`
+#: while None, so older stored records stay valid, and exported as CSV
+#: columns (dicts as sorted-key JSON).
+RECORD_COLUMNS = ("metrics", "flowstats", "trials", "warp", "resilience")
 
 
 def _canonical_fault_key(item) -> tuple:
@@ -227,16 +232,10 @@ class RunRecord:
             "wall_clock_s": self.wall_clock_s,
             "detail": self.detail,
         }
-        if self.metrics is not None:
-            data["metrics"] = self.metrics
-        if self.resilience is not None:
-            data["resilience"] = self.resilience
-        if self.flowstats is not None:
-            data["flowstats"] = self.flowstats
-        if self.trials is not None:
-            data["trials"] = self.trials
-        if self.warp is not None:
-            data["warp"] = self.warp
+        for name in RECORD_COLUMNS:
+            value = getattr(self, name)
+            if value is not None:
+                data[name] = value
         return data
 
     @classmethod
@@ -483,6 +482,44 @@ def grid(
     return CampaignSpec(name=name, runs=tuple(runs))
 
 
+def runspec_for_build(
+    build,
+    switch: str,
+    frame_size: int,
+    build_kwargs=(),
+    bidirectional: bool = False,
+    seed: int = 1,
+    warmup_ns: float = DEFAULT_WARMUP_NS,
+    measure_ns: float = DEFAULT_MEASURE_NS,
+) -> RunSpec | None:
+    """The throughput RunSpec that runs ``build(switch, ...)`` with
+    ``build_kwargs`` (a dict or its items).
+
+    Returns None when ``build`` is not one of the stock scenario modules
+    (a custom callable cannot be named declaratively, so it cannot cross
+    a process boundary or key a cache entry).
+    """
+    module = getattr(build, "__module__", "") or ""
+    if not module.startswith("repro.scenarios."):
+        return None
+    scenario = module.rsplit(".", 1)[-1]
+    if scenario not in SCENARIOS:
+        return None
+    kwargs = dict(build_kwargs)
+    n_vnfs = kwargs.pop("n_vnfs", 1)
+    return RunSpec(
+        scenario=scenario,
+        switch=switch,
+        frame_size=frame_size,
+        bidirectional=bidirectional,
+        n_vnfs=n_vnfs,
+        seed=seed,
+        warmup_ns=warmup_ns,
+        measure_ns=measure_ns,
+        extra=tuple(sorted(kwargs.items())),
+    )
+
+
 def runspec_from_experiment(
     experiment,
     switch: str,
@@ -490,30 +527,17 @@ def runspec_from_experiment(
     measure_ns: float,
     seed: int,
 ) -> RunSpec | None:
-    """Map a suite :class:`~repro.measure.suites.ExperimentSpec` to a RunSpec.
-
-    Returns None when the experiment's builder is not one of the stock
-    scenario modules (a custom callable cannot be named declaratively, so
-    it cannot cross a process boundary or key a cache entry).
-    """
-    module = getattr(experiment.build, "__module__", "") or ""
-    if not module.startswith("repro.scenarios."):
-        return None
-    scenario = module.rsplit(".", 1)[-1]
-    if scenario not in SCENARIOS:
-        return None
-    kwargs = dict(experiment.kwargs)
-    n_vnfs = kwargs.pop("n_vnfs", 1)
-    return RunSpec(
-        scenario=scenario,
-        switch=switch,
-        frame_size=experiment.frame_size,
+    """Map a suite :class:`~repro.measure.suites.ExperimentSpec` to a
+    RunSpec; None for a custom builder (see :func:`runspec_for_build`)."""
+    return runspec_for_build(
+        experiment.build,
+        switch,
+        experiment.frame_size,
+        experiment.kwargs,
         bidirectional=experiment.bidirectional,
-        n_vnfs=n_vnfs,
         seed=seed,
         warmup_ns=warmup_ns,
         measure_ns=measure_ns,
-        extra=tuple(sorted(kwargs.items())),
     )
 
 
@@ -562,12 +586,15 @@ def execute_run(spec: RunSpec) -> RunRecord:
     """
     import time
 
+    from repro import scenarios
     from repro.measure.runner import drive
     from repro.measure.throughput import measure_throughput
-    from repro.scenarios import loopback, p2p, p2v, v2v
     from repro.vm.machine import QemuCompatibilityError
 
-    builders = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
+    # The builder is looked up on its scenario module at call time (not
+    # in BUILDERS), so a wrapped ``build`` (perfbench's op recorder) is
+    # the one that runs.
+    build = getattr(scenarios, spec.scenario).build
     started = time.monotonic()
     kwargs = dict(spec.extra)
     # Sanctioned fault-injection hook (tests, CI smoke): "error" poisons
@@ -584,7 +611,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
     resilience = None
     try:
         if spec.kind == "latency":
-            tb = v2v.build_latency(spec.switch, frame_size=spec.frame_size, seed=spec.seed, **kwargs)
+            tb = scenarios.v2v.build_latency(spec.switch, frame_size=spec.frame_size, seed=spec.seed, **kwargs)
             observation = _observe_for_spec(tb, spec)
             result = drive(tb, warmup_ns=spec.warmup_ns, measure_ns=spec.measure_ns)
         elif spec.kind == "resilience":
@@ -595,7 +622,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
             )
 
             result, report, observation = measure_resilience(
-                builders[spec.scenario],
+                build,
                 spec.switch,
                 spec.frame_size,
                 spec.fault_plan,
@@ -613,7 +640,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
             # Observed runs build the testbed here so probes attach before
             # the drive; measurements stay bit-identical to the unobserved
             # path (probes only read).
-            tb = builders[spec.scenario](
+            tb = build(
                 spec.switch,
                 frame_size=spec.frame_size,
                 bidirectional=spec.bidirectional,
@@ -629,7 +656,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
             )
         else:
             result = measure_throughput(
-                builders[spec.scenario],
+                build,
                 spec.switch,
                 spec.frame_size,
                 bidirectional=spec.bidirectional,

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.spec import RunFailure, RunRecord, outcome_from_dict
+from repro.campaign.spec import RECORD_COLUMNS, RunFailure, RunRecord, outcome_from_dict
 
 CSV_COLUMNS = (
     "key",
@@ -32,10 +32,7 @@ CSV_COLUMNS = (
     "events",
     "wall_clock_s",
     "error",
-    "metrics",
-    "flowstats",
-    "trials",
-    "warp",
+    *RECORD_COLUMNS,
 )
 
 
@@ -114,10 +111,6 @@ def _row_for(outcome: RunRecord | RunFailure, key: str) -> dict:
         "events": "",
         "wall_clock_s": f"{outcome.wall_clock_s:.3f}",
         "error": "",
-        "metrics": "",
-        "flowstats": "",
-        "trials": "",
-        "warp": "",
     }
     if isinstance(outcome, RunFailure):
         row["error"] = f"{outcome.error}: {outcome.message}"
@@ -129,14 +122,12 @@ def _row_for(outcome: RunRecord | RunFailure, key: str) -> dict:
         if outcome.latency_std_us is not None:
             row["latency_std_us"] = f"{outcome.latency_std_us:.2f}"
         row["events"] = outcome.events
-    if getattr(outcome, "metrics", None) is not None:
-        row["metrics"] = json.dumps(outcome.metrics, sort_keys=True)
-    if getattr(outcome, "flowstats", None) is not None:
-        row["flowstats"] = json.dumps(outcome.flowstats, sort_keys=True)
-    if getattr(outcome, "trials", None) is not None:
-        row["trials"] = json.dumps(outcome.trials, sort_keys=True)
-    if getattr(outcome, "warp", None) is not None:
-        row["warp"] = outcome.warp
+    for name in RECORD_COLUMNS:
+        value = getattr(outcome, name, None)
+        if value is None:
+            row[name] = ""
+        else:
+            row[name] = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
     return row
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.stats import LatencySample
-from repro.measure.runner import DEFAULT_MEASURE_NS, DEFAULT_WARMUP_NS, drive
+from repro.measure.runner import DEFAULT_WARMUP_NS, drive
 from repro.measure.throughput import estimate_r_plus
 from repro.scenarios.base import Testbed
 
@@ -94,46 +94,6 @@ def measure_latency_at(
     return LatencyPoint(fraction=fraction, offered_pps=rate_pps, sample=sample)
 
 
-def _r_plus_spec(
-    build: Callable[..., Testbed],
-    switch_name: str,
-    frame_size: int,
-    seed: int,
-    build_kwargs: dict,
-):
-    """The R+ estimation run expressed as a campaign :class:`RunSpec`.
-
-    Returns None when the builder is not a stock scenario module or the
-    kwargs cannot be expressed declaratively -- those runs cannot share a
-    cache key with campaign records, so callers fall back to measuring.
-    """
-    module = getattr(build, "__module__", "") or ""
-    if not module.startswith("repro.scenarios."):
-        return None
-    from repro.campaign.spec import SCENARIOS, RunSpec
-
-    scenario = module.rsplit(".", 1)[-1]
-    if scenario not in SCENARIOS:
-        return None
-    kwargs = dict(build_kwargs)
-    n_vnfs = kwargs.pop("n_vnfs", 1)
-    try:
-        return RunSpec(
-            scenario=scenario,
-            switch=switch_name,
-            frame_size=frame_size,
-            bidirectional=False,
-            n_vnfs=n_vnfs,
-            seed=seed,
-            kind="throughput",
-            warmup_ns=DEFAULT_WARMUP_NS,
-            measure_ns=DEFAULT_MEASURE_NS,
-            extra=tuple(sorted(kwargs.items())),
-        )
-    except (TypeError, ValueError):
-        return None
-
-
 def cached_r_plus(
     build: Callable[..., Testbed],
     switch_name: str,
@@ -150,7 +110,13 @@ def cached_r_plus(
     the run through :func:`repro.campaign.spec.execute_run` (the same
     choke point campaigns use) and persists the record.
     """
-    spec = _r_plus_spec(build, switch_name, frame_size, seed, build_kwargs)
+    from repro.campaign.spec import runspec_for_build
+
+    try:
+        spec = runspec_for_build(build, switch_name, frame_size, build_kwargs, seed=seed)
+    except (TypeError, ValueError):
+        # Kwargs a RunSpec cannot carry: measure instead of sharing a key.
+        spec = None
     if spec is None:
         return estimate_r_plus(
             build, switch_name, frame_size, seed=seed, **build_kwargs

@@ -26,7 +26,6 @@ def measure_throughput(
     warmup_ns: float = DEFAULT_WARMUP_NS,
     measure_ns: float = DEFAULT_MEASURE_NS,
     seed: int = 1,
-    warp: bool | None = None,
     **build_kwargs,
 ) -> RunResult:
     """Saturating-input throughput for one (scenario, switch, size, dir)."""
@@ -42,7 +41,6 @@ def measure_throughput(
         warmup_ns=warmup_ns,
         measure_ns=measure_ns,
         bidirectional=bidirectional,
-        warp=warp,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -19,6 +19,20 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 _NS_TO_US = 1e-3
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write one exported document, creating its parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
+def _labels(items: Iterable[tuple[str, object]]) -> str:
+    """Prometheus label set ``{k="v",...}``; empty when there are none."""
+    body = ",".join(f'{key}="{value}"' for key, value in items)
+    return "{" + body + "}" if body else ""
 
 
 def chrome_trace_document(
@@ -63,25 +77,9 @@ def chrome_trace_document(
     return document
 
 
-def write_chrome_trace(
-    path: str | Path,
-    events: Iterable[dict],
-    metadata: dict | None = None,
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(chrome_trace_document(events, metadata)))
-    return path
-
-
-def write_events_jsonl(path: str | Path, events: Iterable[dict]) -> Path:
+def events_jsonl_text(events: Iterable[dict]) -> str:
     """Raw tracer events, one JSON object per line (ns timestamps)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    return path
+    return "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
 
 
 def prometheus_name(name: str, prefix: str = "repro_") -> str:
@@ -96,13 +94,7 @@ def prometheus_text(registry: MetricsRegistry, labels: dict[str, str] | None = N
     triple with cumulative ``le`` buckets.
     """
     label_items = sorted((labels or {}).items())
-
-    def fmt_labels(extra: tuple[tuple[str, str], ...] = ()) -> str:
-        items = label_items + list(extra)
-        if not items:
-            return ""
-        body = ",".join(f'{key}="{value}"' for key, value in items)
-        return "{" + body + "}"
+    base = _labels(label_items)
 
     lines: list[str] = []
     for metric in registry:
@@ -112,25 +104,14 @@ def prometheus_text(registry: MetricsRegistry, labels: dict[str, str] | None = N
             cumulative = 0
             for bound, count in zip(metric.bounds, metric.counts):
                 cumulative += count
-                lines.append(f'{name}_bucket{fmt_labels((("le", repr(bound)),))} {cumulative}')
-            lines.append(f'{name}_bucket{fmt_labels((("le", "+Inf"),))} {metric.count}')
-            lines.append(f"{name}_sum{fmt_labels()} {metric.total}")
-            lines.append(f"{name}_count{fmt_labels()} {metric.count}")
+                lines.append(f'{name}_bucket{_labels(label_items + [("le", repr(bound))])} {cumulative}')
+            lines.append(f'{name}_bucket{_labels(label_items + [("le", "+Inf")])} {metric.count}')
+            lines.append(f"{name}_sum{base} {metric.total}")
+            lines.append(f"{name}_count{base} {metric.count}")
         else:
             lines.append(f"# TYPE {name} {metric.kind}")
-            lines.append(f"{name}{fmt_labels()} {metric.read()}")
+            lines.append(f"{name}{base} {metric.read()}")
     return "\n".join(lines) + "\n"
-
-
-def write_prometheus(
-    path: str | Path,
-    registry: MetricsRegistry,
-    labels: dict[str, str] | None = None,
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(prometheus_text(registry, labels))
-    return path
 
 
 #: Hard ceiling on per-flow label cardinality in one exposition document.
@@ -170,11 +151,6 @@ def flow_prometheus_text(summary: dict, labels: dict[str, str] | None = None) ->
     """
     base_items = sorted((labels or {}).items())
 
-    def fmt(flow_label: str) -> str:
-        items = base_items + [("flow", flow_label)]
-        body = ",".join(f'{key}="{value}"' for key, value in items)
-        return "{" + body + "}"
-
     lines: list[str] = []
     for field in _FLOW_FIELDS:
         lines.append(f"# TYPE {prometheus_name('flow.' + field)} gauge")
@@ -182,12 +158,12 @@ def flow_prometheus_text(summary: dict, labels: dict[str, str] | None = None) ->
     rows.append(("other", summary["other"]))
     rows.append(("total", summary["totals"]))
     for flow_label, record in rows:
-        decorated = fmt(_flow_label(flow_label))
+        decorated = _labels(base_items + [("flow", _flow_label(flow_label))])
         for field in _FLOW_FIELDS:
             lines.append(
                 f"{prometheus_name('flow.' + field)}{decorated} {record[field]}"
             )
-    base = "{" + ",".join(f'{k}="{v}"' for k, v in base_items) + "}" if base_items else ""
+    base = _labels(base_items)
     fairness = summary["fairness"]
     for key in ("jain", "skew", "loss_p50", "loss_p90", "loss_p99"):
         value = fairness[key]
@@ -201,17 +177,6 @@ def flow_prometheus_text(summary: dict, labels: dict[str, str] | None = None) ->
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name}{base} {summary[key]}")
     return "\n".join(lines) + "\n"
-
-
-def write_flow_prometheus(
-    path: str | Path,
-    summary: dict,
-    labels: dict[str, str] | None = None,
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(flow_prometheus_text(summary, labels))
-    return path
 
 
 #: Numeric TrialSummary fields exported per measurement point.
@@ -245,18 +210,14 @@ def trial_prometheus_text(
     """
     base_items = sorted((labels or {}).items())
 
-    def fmt(point: str, extra: tuple[tuple[str, str], ...] = ()) -> str:
-        items = base_items + [("point", _flow_label(point))] + list(extra)
-        body = ",".join(f'{key}="{value}"' for key, value in items)
-        return "{" + body + "}"
-
     lines: list[str] = []
     for field in _TRIAL_FIELDS:
         lines.append(f"# TYPE {prometheus_name('trials.' + field)} gauge")
     for key in ("stable", "quarantined"):
         lines.append(f"# TYPE {prometheus_name('trials.' + key)} gauge")
     for point, summary in sorted(summaries.items()):
-        decorated = fmt(point)
+        point_items = base_items + [("point", _flow_label(point))]
+        decorated = _labels(point_items)
         for field in _TRIAL_FIELDS:
             value = summary.get(field)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -267,24 +228,13 @@ def trial_prometheus_text(
         stable = 1 if verdict == "stable" else 0
         lines.append(
             f"{prometheus_name('trials.stable')}"
-            f"{fmt(point, (('verdict', _flow_label(verdict)),))} {stable}"
+            f"{_labels(point_items + [('verdict', _flow_label(verdict))])} {stable}"
         )
         quarantined = 1 if summary.get("status") == "quarantined" else 0
         lines.append(
             f"{prometheus_name('trials.quarantined')}{decorated} {quarantined}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_trial_prometheus(
-    path: str | Path,
-    summaries: dict[str, dict],
-    labels: dict[str, str] | None = None,
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(trial_prometheus_text(summaries, labels))
-    return path
 
 
 def warp_decline_prometheus_text(
@@ -312,46 +262,38 @@ def warp_decline_prometheus_text(
         else:
             engaged[label] = engaged.get(label, 0) + 1
 
-    def fmt(extra: tuple[tuple[str, str], ...]) -> str:
-        items = base_items + list(extra)
-        if not items:
-            return ""
-        return "{" + ",".join(f'{k}="{v}"' for k, v in items) + "}"
-
     lines = [f"# TYPE {prometheus_name('warp.engaged.total')} counter"]
     for mode in sorted(engaged):
         lines.append(
             f"{prometheus_name('warp.engaged.total')}"
-            f"{fmt((('mode', mode),))} {engaged[mode]}"
+            f"{_labels(base_items + [('mode', mode)])} {engaged[mode]}"
         )
     lines.append(f"# TYPE {prometheus_name('warp.declined.total')} counter")
     for reason in sorted(declined):
         lines.append(
             f"{prometheus_name('warp.declined.total')}"
-            f"{fmt((('reason', _flow_label(reason)),))} {declined[reason]}"
+            f"{_labels(base_items + [('reason', _flow_label(reason))])} {declined[reason]}"
         )
     return "\n".join(lines) + "\n"
 
 
-def snapshot_prometheus_text(
-    snapshots: Iterable[tuple[dict[str, str], dict]],
-    fh: IO[str],
-) -> None:
+def snapshot_prometheus_text(snapshots: Iterable[tuple[dict[str, str], dict]]) -> str:
     """Render (labels, snapshot-dict) pairs as Prometheus gauges.
 
     Used for campaign-level exports where each run contributes a compact
     metric snapshot rather than a live registry: scalars export directly,
     histogram digests export their count/mean/percentile fields.
     """
+    lines: list[str] = []
     for labels, snapshot in snapshots:
-        label_str = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-        decorated = "{" + label_str + "}" if label_str else ""
+        decorated = _labels(sorted(labels.items()))
         for name, value in sorted(snapshot.items()):
             if isinstance(value, dict):
                 for sub, subvalue in sorted(value.items()):
                     if isinstance(subvalue, (int, float)):
-                        fh.write(
+                        lines.append(
                             f"{prometheus_name(name + '.' + sub)}{decorated} {subvalue}\n"
                         )
             elif isinstance(value, (int, float)):
-                fh.write(f"{prometheus_name(name)}{decorated} {value}\n")
+                lines.append(f"{prometheus_name(name)}{decorated} {value}\n")
+    return "".join(lines)

@@ -15,18 +15,18 @@ dispatch loop whenever no observer is set.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.packet import batch_count
 from repro.obs.exporters import (
+    chrome_trace_document,
+    events_jsonl_text,
     flow_prometheus_text,
     prometheus_text,
-    write_chrome_trace,
-    write_events_jsonl,
-    write_flow_prometheus,
-    write_prometheus,
+    write_text,
 )
 from repro.obs.flowstats import DEFAULT_TOP_K, FlowStats, wire_flowstats
 from repro.obs.metrics import MetricsRegistry, hdr_bounds
@@ -430,12 +430,13 @@ class Observation:
     def write_chrome_trace(self, path: str | Path) -> Path:
         if self.tracer is None:
             raise ValueError("run was not traced (ObsConfig.trace=False)")
-        return write_chrome_trace(path, self.tracer.events, self.trace_metadata())
+        document = chrome_trace_document(self.tracer.events, self.trace_metadata())
+        return write_text(path, json.dumps(document))
 
     def write_events_jsonl(self, path: str | Path) -> Path:
         if self.tracer is None:
             raise ValueError("run was not traced (ObsConfig.trace=False)")
-        return write_events_jsonl(path, self.tracer.events)
+        return write_text(path, events_jsonl_text(self.tracer.events))
 
     def prometheus_text(self, labels: dict[str, str] | None = None) -> str:
         if self.registry is None:
@@ -445,7 +446,7 @@ class Observation:
     def write_prometheus(self, path: str | Path, labels: dict[str, str] | None = None) -> Path:
         if self.registry is None:
             raise ValueError("run collected no metrics (ObsConfig.metrics=False)")
-        return write_prometheus(path, self.registry, labels)
+        return write_text(path, prometheus_text(self.registry, labels))
 
     def flow_summary(self) -> dict:
         if self.flowstats is None:
@@ -462,7 +463,7 @@ class Observation:
     ) -> Path:
         if self.flowstats is None:
             raise ValueError("run collected no flow stats (ObsConfig.flowstats=False)")
-        return write_flow_prometheus(path, self.flowstats.summary(), labels)
+        return write_text(path, flow_prometheus_text(self.flowstats.summary(), labels))
 
 
 def observe(tb, config: ObsConfig | None = None, **overrides) -> Observation:

@@ -142,8 +142,10 @@ def test_warp_never_engages_across_flow_grid():
 def test_warp_results_match_event_by_event_when_declined():
     """A declined warp must not perturb the run: warp=True and warp=False
     produce bit-identical numbers for flow-diverse traffic."""
-    on = fast_throughput(p2p.build, "ovs-dpdk", flows=1000, flow_dist="zipf", warp=True)
-    off = fast_throughput(p2p.build, "ovs-dpdk", flows=1000, flow_dist="zipf", warp=False)
+    on, off = (
+        drive(p2p.build("ovs-dpdk", frame_size=64, flows=1000, flow_dist="zipf"), **WINDOWS, warp=warp)
+        for warp in (True, False)
+    )
     assert on.per_direction_gbps == off.per_direction_gbps
     assert on.events == off.events
 

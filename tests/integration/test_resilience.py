@@ -347,3 +347,29 @@ def test_cli_resilience_epsilon_and_bin_flow_into_the_report(capsys):
         "--warmup-ns", "400000", "--measure-ns", "1600000",
     ])
     assert rc == 0
+
+
+def test_cli_resilience_csv_carries_the_report(tmp_path, capsys):
+    """The CSV export keeps each run's resilience report: the cell is the
+    JSONL record's report, as sorted-key JSON."""
+    import csv
+
+    from repro.cli import main
+
+    store, table = tmp_path / "chaos.jsonl", tmp_path / "chaos.csv"
+    assert main([
+        "resilience", "p2p", "--switches", "vale,vpp",
+        "--fault", "nic-link-flap@sut-nic.p1:at_ns=800000,duration_ns=300000",
+        "--warmup-ns", "400000", "--measure-ns", "1600000",
+        "--store", str(store), "--export-csv", str(table),
+    ]) == 0
+    reports = {}
+    for line in store.read_text().splitlines():
+        row = json.loads(line)
+        reports[row["key"]] = row["resilience"]
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(reports) == 2
+    for row in rows:
+        assert json.loads(row["resilience"]) == reports[row["key"]]
+        assert reports[row["key"]]["recovered"]

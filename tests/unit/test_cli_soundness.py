@@ -9,6 +9,10 @@ import pytest
 from repro.cli import main
 
 FAST = ["--warmup-ns", "100000", "--measure-ns", "400000"]
+FAULT = [
+    "--fault", "nic-link-flap@sut-nic.p1:at_ns=800000,duration_ns=300000",
+    "--warmup-ns", "400000", "--measure-ns", "1600000",
+]
 
 
 class TestRepeatSemantics:
@@ -16,6 +20,7 @@ class TestRepeatSemantics:
         ["suite", "--switch", "vpp", "--repeat", "2"],
         ["campaign", "--suite", "smoke", "--repeat", "2"],
         ["validate", "--repeat", "2"],
+        ["resilience", "p2p", "--switch", "vale", "--repeat", "2", *FAULT],
     ])
     def test_repeat_without_policy_is_a_loud_error(self, command, capsys):
         assert main(command) == 2
@@ -66,3 +71,22 @@ class TestTrialCampaignCommand:
         assert "#s1" in out and "#s2" in out  # two seeds, no trial suffix
         assert "+t1" not in out
 
+
+
+class TestResilienceRepeats:
+    """resilience shares the seed-policy rule: replicas of its one-seed
+    grid are reseeds or soundness trials, never an unstated choice."""
+
+    @pytest.mark.parametrize("policy, labels", [
+        ("reseed", ("#s1 ", "#s2 ")),
+        ("trial", ("#s1 ", "#s1+t1 ")),
+    ])
+    def test_policy_shapes_the_replicas(self, policy, labels, capsys):
+        assert main([
+            "resilience", "p2p", "--switch", "vale",
+            "--repeat", "2", "--seed-policy", policy, *FAULT,
+        ]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if "/vale#" in line]
+        assert len(rows) == 2
+        for row, label in zip(rows, labels):
+            assert label in row and "yes" in row

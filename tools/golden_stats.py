@@ -18,11 +18,9 @@ import sys
 
 from repro.measure.latency import measure_latency_at
 from repro.measure.runner import drive
-from repro.scenarios import loopback, p2p, p2v, v2v
+from repro.scenarios import BUILDERS, p2p, p2v, v2v
 from repro.switches.registry import switch_names
 from repro.vm.machine import QemuCompatibilityError
-
-BUILDERS = {"p2p": p2p.build, "p2v": p2v.build, "v2v": v2v.build, "loopback": loopback.build}
 
 #: Multi-flow cells: (key, builder, switch, flow-axis kwargs).  Each also
 #: records the switch's cache counters, which single-flow traffic never
