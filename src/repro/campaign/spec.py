@@ -301,22 +301,6 @@ class CampaignSpec:
         """Drop exact-duplicate runs, keeping first-occurrence order."""
         return CampaignSpec(name=self.name, runs=tuple(dict.fromkeys(self.runs)))
 
-    def with_repeats(self, repeat: int) -> "CampaignSpec":
-        """Replicate every run over ``repeat`` consecutive seeds.
-
-        This is the legacy ``reseed`` policy: every replica re-derives
-        *all* RNG streams, changing the workload itself.  For sound
-        repeats of an identical workload use :meth:`with_trials`.
-        """
-        if repeat < 1:
-            raise ValueError("repeat must be >= 1")
-        if repeat == 1:
-            return self
-        runs = tuple(
-            replace(spec, seed=spec.seed + i) for spec in self.runs for i in range(repeat)
-        )
-        return CampaignSpec(name=self.name, runs=runs)
-
     def with_trials(self, repeat: int, seed_policy: str = "trial") -> "CampaignSpec":
         """Replicate every run over ``repeat`` trials on the soundness axis.
 
@@ -324,8 +308,9 @@ class CampaignSpec:
         perturb only measurement-irrelevant phases (traffic start phase,
         driver-drop schedule, churn offset) through dedicated ``trial.*``
         RNG streams -- the distribution they produce is measurement
-        noise, not workload variation.  ``seed_policy="reseed"`` falls
-        back to :meth:`with_repeats`.
+        noise, not workload variation.  ``seed_policy="reseed"`` replicates
+        every run over consecutive seeds instead, re-deriving *all* RNG
+        streams and so changing the workload itself.
         """
         from repro.measure.soundness import trial_specs
 
@@ -588,13 +573,8 @@ def execute_run(spec: RunSpec) -> RunRecord:
 
     from repro import scenarios
     from repro.measure.runner import drive
-    from repro.measure.throughput import measure_throughput
     from repro.vm.machine import QemuCompatibilityError
 
-    # The builder is looked up on its scenario module at call time (not
-    # in BUILDERS), so a wrapped ``build`` (perfbench's op recorder) is
-    # the one that runs.
-    build = getattr(scenarios, spec.scenario).build
     started = time.monotonic()
     kwargs = dict(spec.extra)
     # Sanctioned fault-injection hook (tests, CI smoke): "error" poisons
@@ -607,14 +587,17 @@ def execute_run(spec: RunSpec) -> RunRecord:
         # Trial 0 never passes the kwarg, so the base run reaches the
         # builders with the exact pre-soundness signature (bit-identity).
         kwargs["trial"] = spec.trial
-    observation = None
+    # The builder is looked up on its scenario module at call time (not
+    # in BUILDERS), so a wrapped ``build`` (perfbench's op recorder) is
+    # the one that runs.
+    if spec.kind == "latency":
+        build = scenarios.v2v.build_latency
+    else:
+        build = getattr(scenarios, spec.scenario).build
+        kwargs["bidirectional"] = spec.bidirectional
     resilience = None
     try:
-        if spec.kind == "latency":
-            tb = scenarios.v2v.build_latency(spec.switch, frame_size=spec.frame_size, seed=spec.seed, **kwargs)
-            observation = _observe_for_spec(tb, spec)
-            result = drive(tb, warmup_ns=spec.warmup_ns, measure_ns=spec.measure_ns)
-        elif spec.kind == "resilience":
+        if spec.kind == "resilience":
             from repro.measure.resilience import (
                 DEFAULT_BIN_NS,
                 DEFAULT_EPSILON,
@@ -626,7 +609,6 @@ def execute_run(spec: RunSpec) -> RunRecord:
                 spec.switch,
                 spec.frame_size,
                 spec.fault_plan,
-                bidirectional=spec.bidirectional,
                 epsilon=kwargs.pop("epsilon", DEFAULT_EPSILON),
                 bin_ns=kwargs.pop("bin_ns", DEFAULT_BIN_NS),
                 warmup_ns=spec.warmup_ns,
@@ -636,34 +618,16 @@ def execute_run(spec: RunSpec) -> RunRecord:
                 **kwargs,
             )
             resilience = report.to_dict()
-        elif spec.obs:
-            # Observed runs build the testbed here so probes attach before
-            # the drive; measurements stay bit-identical to the unobserved
-            # path (probes only read).
-            tb = build(
-                spec.switch,
-                frame_size=spec.frame_size,
-                bidirectional=spec.bidirectional,
-                seed=spec.seed,
-                **kwargs,
-            )
+        else:
+            # Probes attach between build and drive and only read, so an
+            # observed run measures what the unobserved one does.
+            tb = build(spec.switch, frame_size=spec.frame_size, seed=spec.seed, **kwargs)
             observation = _observe_for_spec(tb, spec)
             result = drive(
                 tb,
                 warmup_ns=spec.warmup_ns,
                 measure_ns=spec.measure_ns,
                 bidirectional=spec.bidirectional,
-            )
-        else:
-            result = measure_throughput(
-                build,
-                spec.switch,
-                spec.frame_size,
-                bidirectional=spec.bidirectional,
-                warmup_ns=spec.warmup_ns,
-                measure_ns=spec.measure_ns,
-                seed=spec.seed,
-                **kwargs,
             )
     except QemuCompatibilityError as exc:
         return RunRecord(

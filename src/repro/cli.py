@@ -42,6 +42,10 @@ _THROUGHPUT_TARGETS = tuple(BUILDERS)
 #: Scenarios one run (and ``trace``/``flowstats``) can drive.
 _RUN_TARGETS = (*_THROUGHPUT_TARGETS, "v2v-latency")
 _FLOW_FLAGS = ("--flows", "--flow-dist", "--churn", "--size-mix")
+#: Defaults of the flags that modify another flag's base, set once
+#: validation is done: parsed as None, an explicit value whose base is
+#: off is refused even when it equals the default.
+_MODIFIER_DEFAULTS = {"switch": "vpp", "cache_dir": ".repro-cache", "ci_target": 0.05}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -76,7 +80,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         help="override the measurement window (default: the runner's)",
     )
     switch = group()
-    switch.add_argument("--switch", default="vpp", metavar="NAME",
+    switch.add_argument("--switch", default=None, metavar="NAME",
                         help="switch under test (see the registry; default vpp)")
     size = group()
     size.add_argument("--size", type=int, default=64, help="frame size in bytes")
@@ -118,7 +122,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         help="memoise results under --cache-dir (campaign: on by default; "
         "single runs: the --latency sweep's R+ run)",
     )
-    cache.add_argument("--cache-dir", default=".repro-cache", metavar="DIR")
+    cache.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="result cache directory (default .repro-cache)")
     execution = group()
     execution.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -236,7 +241,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         suite, flows, cache, execution, store, metrics_out, observed,
     )
     campaign.add_argument(
-        "--ci-target", type=float, default=0.05, metavar="F",
+        "--ci-target", type=float, default=None, metavar="F",
         help="trial campaigns: stop adding trials once the bootstrap CI "
         "half-width shrinks below F of the mean (default 0.05)",
     )
@@ -324,7 +329,7 @@ def _flag_error(args, leftover: list[str], commands: dict) -> tuple[int, str] | 
                 return flag
         return None
 
-    if hasattr(args, "switch") and args.switch not in switch_names():
+    if getattr(args, "switch", None) is not None and args.switch not in switch_names():
         return 1, (
             f"unknown switch {args.switch!r}; valid switches: "
             + ", ".join(sorted(switch_names()))
@@ -367,6 +372,14 @@ def _flag_error(args, leftover: list[str], commands: dict) -> tuple[int, str] | 
         flag = changed("--cache", "--cache-dir")
         if flag is not None:
             return 1, f"{flag} is read only by the --latency sweep on '{args.command}'"
+    if getattr(args, "cache_dir", None) is not None and not _cache_on(args):
+        return 1, "--cache-dir is read only when the result cache is on (--cache)"
+    if getattr(args, "sample_rate", None) is not None and not (
+        args.command == "trace" or args.trace_out is not None
+    ):
+        return 1, "--sample-rate is read only by traced runs ('trace' or --trace-out)"
+    if getattr(args, "switch", None) is not None and getattr(args, "switches", None):
+        return 1, f"--switch is read only without --switches on '{args.command}'"
     # Repeating without stating how replicas differ would silently pick
     # one arbitrary interpretation, so it is a loud error.
     if getattr(args, "repeat", 1) > 1 and args.seed_policy is None:
@@ -432,9 +445,13 @@ def _windows(args) -> dict:
     return {"warmup_ns": DEFAULT_WARMUP_NS, "measure_ns": DEFAULT_MEASURE_NS, **_window_overrides(args)}
 
 
-def _cache(args, default_on: bool):
-    enabled = default_on if args.cache is None else args.cache
-    if not enabled:
+def _cache_on(args) -> bool:
+    """--cache/--no-cache, else the command's default: on for campaigns."""
+    return args.command == "campaign" if args.cache is None else args.cache
+
+
+def _cache(args):
+    if not _cache_on(args):
         return None
     from repro.campaign.cache import ResultCache
 
@@ -618,7 +635,7 @@ def _run_latency_sweep(args) -> int:
     extra = {"n_vnfs": args.vnfs} if args.command == "loopback" else {}
     points = latency_sweep(
         BUILDERS[args.command], args.switch, frame_size=args.size, seed=args.seed,
-        cache=_cache(args, default_on=False),
+        cache=_cache(args),
         **_window_overrides(args), **extra, **_flow_kwargs(args),
     )
     rows = [
@@ -661,7 +678,7 @@ def _run_suite(args) -> int:
         repeat=args.repeat,
         seed_policy=args.seed_policy,
         workers=_workers(args),
-        cache=_cache(args, default_on=False),
+        cache=_cache(args),
         progress=ProgressReporter(
             total=len(suite.experiments) * args.repeat, emit=emit_to_stderr
         ),
@@ -719,7 +736,7 @@ def _run_validate(args) -> int:
         progress=lambda msg: _note(f"[validate] {msg}"),
         seed=args.seed,
         workers=_workers(args),
-        cache=_cache(args, default_on=False),
+        cache=_cache(args),
         obs=_obs_config(args),
         metrics_sink=metrics_sink,
         repeat=args.repeat,
@@ -796,7 +813,7 @@ def _run_campaign(args) -> int:
     grid_shape = f"{len(switches)} switches x {len(suite.experiments)} experiments"
     if not trial_mode:
         return _run_grid(
-            args, spec, cache_on=True, table=lambda result: (
+            args, spec, table=lambda result: (
                 ["run", "Gbps", "Mpps", "status"],
                 [
                     [outcome.spec.label, *_rate_cells(outcome, "cached" if getattr(outcome, "cached", False) else "ok")]
@@ -811,7 +828,7 @@ def _run_campaign(args) -> int:
         n_min=min(3, args.repeat), n_max=args.repeat, rel_ci_target=args.ci_target
     )
     return _run_grid(
-        args, spec, cache_on=True, policy=policy, table=lambda result: (
+        args, spec, policy=policy, table=lambda result: (
             ["run", "metric", "mean", f"{int(policy.ci_level * 100)}% CI", "n", "verdict", "status"],
             [_trial_row(point) for point in result.points],
             f"trial campaign '{spec.name}': {grid_shape}, n<={args.repeat} trials "
@@ -884,7 +901,7 @@ def _run_resilience(args) -> int:
     )
     fault_labels = ", ".join(event.label for event in plan)
     return _run_grid(
-        args, spec, cache_on=False, table=lambda result: (
+        args, spec, table=lambda result: (
             ["run", "pre-fault Mpps", "loss (frames)", "TTR", "recovered", "status"],
             [_resilience_row(outcome) for _, outcome in result.outcomes],
             f"resilience '{args.target}' under [{fault_labels}]",
@@ -907,7 +924,7 @@ def _resilience_row(outcome) -> list:
     ]
 
 
-def _run_grid(args, spec, cache_on: bool, table, policy=None) -> int:
+def _run_grid(args, spec, table, policy=None) -> int:
     """Run a grid command's spec and emit everything after it.
 
     ``table(result)`` gives the command's (headers, rows, title); the
@@ -927,7 +944,7 @@ def _run_grid(args, spec, cache_on: bool, table, policy=None) -> int:
         spec = spec.with_obs(obs)
     execution = {
         "workers": _workers(args),
-        "cache": _cache(args, default_on=cache_on),
+        "cache": _cache(args),
         "store": CampaignStore(args.store) if args.store else None,
         "timeout_s": args.timeout,
     }
@@ -1017,6 +1034,9 @@ def main(argv: list[str] | None = None) -> int:
         code, message = error
         _note(message)
         return code
+    for dest, value in _MODIFIER_DEFAULTS.items():
+        if getattr(args, dest, value) is None:
+            setattr(args, dest, value)
     # The engine flags hold for this command only: the caller's values,
     # unset included, come back however the command ends.
     overrides = _engine_env(args)

@@ -69,8 +69,12 @@ def fluid_enabled(default: bool = False) -> bool:
 
 
 def _eligibility(tb: "Testbed") -> None:
-    if tb.sim._observer is not None or tb.switch.obs is not None:
+    if tb.sim._observer is not None:
         raise _Decline("per-packet-tracing")
+    if tb.switch.obs is not None:
+        # Fluid extrapolates only the meters: registry gauges, histograms
+        # and the profile would stop at the calibration edge.
+        raise _Decline("observed")
     if tb.extras.get("fault_injector") is not None:
         # Faults are exactly the transients fluid cannot extrapolate
         # across; resilience runs stay on the exact tiers.
@@ -78,7 +82,7 @@ def _eligibility(tb: "Testbed") -> None:
     population = tb.extras.get("flow_population")
     if population is not None and population.churn_fps:
         raise _Decline("flow-churn")
-    if tb.switch.flowstats is not None or tb.extras.get("flowstats") is not None:
+    if tb.switch.flowstats is not None:
         # Per-flow telemetry counts events; extrapolated counters would
         # leave it silently truncated at the calibration edge.
         raise _Decline("flow-telemetry")

@@ -193,7 +193,7 @@ def _switch_check(switch: SoftwareSwitch, paths) -> Callable[[], float] | None:
     params = switch.params
     if params.pipeline or switch._stalls is not None:
         return None  # stalls/pipeline links carry time-based obligations
-    if params.interrupt_driven or switch.obs is not None:
+    if params.interrupt_driven:
         return None
     batch_size = params.batch_size
     batch_wait = params.batch_wait_ns
@@ -299,12 +299,7 @@ class _Profile:
 
 
 def _core_profile(core: Core) -> _Profile | None:
-    if (
-        core.interrupt_driven
-        or core._park_rings is not None
-        or core.obs is not None
-        or not core.tasks
-    ):
+    if core.interrupt_driven or core._park_rings is not None or not core.tasks:
         return None
     checks = []
     for task in core.tasks:
@@ -329,6 +324,10 @@ def _chain_delay(core: Core) -> float:
 
 
 def _eligibility(tb: "Testbed") -> None:
+    # The engine observer hooks every dispatch, and the drive loop below
+    # dispatches around it.  Probes need no check: a row holds only polls
+    # its deadline proves are no-ops, which reach no switch probe, core
+    # probe or flow tracker; every poll that does reach one runs for real.
     if tb.sim._observer is not None:
         raise _Decline("per-packet-tracing")
     population = tb.extras.get("flow_population")
@@ -338,11 +337,6 @@ def _eligibility(tb: "Testbed") -> None:
         # cores rarely idle long enough for bulk spans to pay off — and
         # callers rely on the stable PR 6 decline reasons.
         raise _Decline("flow-churn" if population.churn_fps else "multi-flow-traffic")
-    if tb.extras.get("flowstats") is not None:
-        raise _Decline("flow-telemetry")
-    if tb.switch.obs is not None:
-        raise _Decline("per-packet-tracing")
-
 
 
 # -- the drive loop -----------------------------------------------------------

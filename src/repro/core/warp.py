@@ -244,9 +244,9 @@ def _eligibility(tb: "Testbed") -> _Ctx:
         # Flow-diverse offered load drives stateful cache dynamics (EMC
         # thrash, eviction storms) the steady-state replay does not model.
         # Checked before the observability gates so --profile surfaces the
-        # traffic-shape reason rather than its own tracing decline.
+        # traffic-shape reason rather than its own observer decline.
         raise _Decline("flow-churn" if population.churn_fps else "multi-flow-traffic")
-    if tb.extras.get("flowstats") is not None:
+    if tb.switch.flowstats is not None:
         # Per-flow accounting reads every drop/send/forward event; the
         # replayed fast-path skips those call sites, so warping would
         # silently under-count the telemetry.
@@ -277,11 +277,9 @@ def _eligibility(tb: "Testbed") -> _Ctx:
     if params.interrupt_driven:
         raise _Decline("interrupt-driven")
     if sw.obs is not None:
-        raise _Decline("per-packet-tracing")
-    if sw.flowstats is not None:
-        # Belt-and-braces for a switch wired directly (wire_flowstats
-        # normally also registers the session in tb.extras).
-        raise _Decline("flow-telemetry")
+        # The switch probe reads every serviced batch, and the replay
+        # services batches without calling it.
+        raise _Decline("observed")
     if sw._overload_factor() != 1.0:
         raise _Decline("overloaded-switch")
     if type(sw) is OvsDpdk and len(sw.flow_table):

@@ -280,7 +280,6 @@ def measure_resilience(
     measure_ns: float = DEFAULT_MEASURE_NS,
     seed: int = 1,
     observe_config=None,
-    warp: bool | None = None,
     **build_kwargs,
 ) -> tuple[RunResult, ResilienceReport, Any]:
     """Throughput run + fault plan + recovery analysis in one drive.
@@ -289,11 +288,10 @@ def measure_resilience(
     ``observation`` is None unless ``observe_config`` asks for an obs
     session (fault spans are then exported onto its tracer).
 
-    ``warp`` pins the exact fast-forward tiers (``None`` follows
-    ``REPRO_WARP``).  The chain turbo warps the idle stretches *between*
-    fault events bit-identically -- injector callbacks force a
-    re-verification, so fault transients and the recovery timeline stay
-    event-exact.
+    The exact fast-forward tiers follow ``REPRO_WARP``.  The chain turbo
+    warps the idle stretches *between* fault events bit-identically --
+    injector callbacks force a re-verification, so fault transients and
+    the recovery timeline stay event-exact.
     """
     if not plan:
         raise ValueError("measure_resilience needs a non-empty FaultPlan")
@@ -320,7 +318,6 @@ def measure_resilience(
         warmup_ns=warmup_ns,
         measure_ns=measure_ns,
         bidirectional=bidirectional,
-        warp=warp,
     )
     report = analyze(tb, plan, sampler, injector, warmup_ns, epsilon)
     if observation is not None:

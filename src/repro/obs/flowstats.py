@@ -474,4 +474,3 @@ def wire_flowstats(tb, stats: FlowStats) -> None:
         items = value if isinstance(value, (list, tuple)) else (value,)
         for obj in items:
             hook(obj)
-    tb.extras["flowstats"] = stats

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -20,6 +20,10 @@ import oracle
 @seed(20261019)
 @settings(max_examples=16, deadline=None)
 @given(draw_seed=st.integers(min_value=0, max_value=2**32 - 1))
+# VALE's bidirectional p2v and v2v: the in-VM VALE bridge's core is
+# profiled, so the turbo engages although VALE's own core is not.
+@example(draw_seed=208)
+@example(draw_seed=480)
 def test_every_encoding_matches_the_reference(draw_seed):
     spec = oracle.draw(random.Random(draw_seed))
     assert oracle.check(spec) == [], spec

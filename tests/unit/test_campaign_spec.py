@@ -66,11 +66,6 @@ def test_grid_vnfs_only_sweeps_loopback():
     assert len(p2ps) == 1
 
 
-def test_with_repeats_replicates_seeds():
-    campaign = CampaignSpec("c", (RunSpec("p2p", "vpp", seed=5),)).with_repeats(3)
-    assert [s.seed for s in campaign] == [5, 6, 7]
-
-
 def test_deduplicated_preserves_order():
     a, b = RunSpec("p2p", "vpp"), RunSpec("p2p", "bess")
     campaign = CampaignSpec("c", (a, b, a)).deduplicated()

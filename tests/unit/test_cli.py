@@ -154,11 +154,11 @@ def test_unknown_scenario_rejected():
 
 @pytest.mark.usefixtures("unwatched")
 def test_profile_surfaces_warp_state(capsys):
-    """--profile reports what the fast-forward did (here: why it declined
-    -- per-packet profiling is one of the replay-safety guard rails)."""
+    """--profile reports what the fast-forward did (here: the replay
+    declines the profiled run, and the turbo keeps it)."""
     assert main(["p2p", "--switch", "vpp", "--profile"]) == 0
     out = capsys.readouterr().out
-    assert "warp: declined[turbo]: per-packet-tracing" in out
+    assert "warp: engaged[turbo]:" in out
 
 
 def test_no_warp_flag(capsys):
@@ -242,6 +242,14 @@ def test_flags_a_command_never_reads_are_rejected(argv, capsys):
     (["campaign", "--metrics"], "--metrics fills a column of --export-csv or --store"),
     (["campaign", "--top-k", "8", "--metrics-out", "m.prom"],
      "--top-k fills a column of --export-csv or --store"),
+    # A modifier whose base is off, even at its default value.
+    (["p2p", "--sample-rate", "2"], "--sample-rate is read only by traced runs"),
+    (["suite", "--cache-dir", "d"], "--cache-dir is read only when the result cache is on"),
+    (["campaign", "--no-cache", "--cache-dir", "d"],
+     "--cache-dir is read only when the result cache is on"),
+    (["resilience", "--switch", "vale", "--switches", "vpp"],
+     "--switch is read only without --switches"),
+    (["campaign", "--ci-target", "0.05"], "--ci-target is read only by trial campaigns"),
 ])
 def test_flags_the_other_flags_make_moot_are_rejected(argv, message, capsys):
     assert main(argv) == 1

@@ -114,7 +114,7 @@ def test_declines_on_armed_fault_plan():
 
 def test_declines_on_flow_telemetry():
     tb = p2p.build("ovs-dpdk", frame_size=64, seed=1)
-    tb.extras["flowstats"] = object()  # what obs attach leaves behind
+    tb.switch.flowstats = object()  # what wire_flowstats attaches
     report = try_fluid(tb, 6e5, 6e7)
     assert not report.engaged
     assert report.reason == "flow-telemetry"

@@ -30,9 +30,11 @@ from repro.core.turbo import (
     _switch_check,
     turbo_drive,
 )
-from repro.core.warp import state_fingerprint
+from repro.core.fluid import try_fluid
+from repro.core.warp import state_fingerprint, try_warp
 from repro.cpu.cores import Core
 from repro.measure.runner import drive
+from repro.obs import ObsConfig, observe
 from repro.scenarios import loopback, p2p, p2v, v2v
 from repro.vif.vhost_user import make_vhost_user_interface
 from repro.vm.apps import GuestL2Fwd
@@ -294,12 +296,58 @@ def test_declines_on_interrupt_driven_switch():
     assert report.reason == "interrupt-driven"
 
 
-def test_resilience_between_fault_warp_is_bit_identical():
+#: (builder, switch, build kwargs, sub-capacity rate in pps) per shape.
+OBSERVED_SHAPES = {
+    "p2p-bidi": (p2p.build, "vpp", {"bidirectional": True}, 2e6),
+    "p2v": (p2v.build, "ovs-dpdk", {}, 1e6),
+    "v2v": (v2v.build, "vpp", {}, 8e5),
+    "loopback-2": (loopback.build, "ovs-dpdk", {"n_vnfs": 2}, 5e5),
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ObsConfig(metrics=True, profile=True), ObsConfig(flowstats=True)],
+    ids=["metrics-profile", "flowstats"],
+)
+@pytest.mark.parametrize("shape", sorted(OBSERVED_SHAPES))
+def test_observed_runs_keep_the_turbo(shape, config):
+    """Probes only see busy polls, and the turbo dispatches every one:
+    an observed run engages it and matches the event-by-event observed
+    run, metric snapshot included."""
+    build, switch, kwargs, rate = OBSERVED_SHAPES[shape]
+    runs = []
+    for warp in (False, True):
+        tb = build(switch, frame_size=64, rate_pps=rate, seed=1, **kwargs)
+        observation = observe(tb, config)
+        result = drive(tb, warp=warp, warmup_ns=2e5, measure_ns=1.2e6)
+        runs.append(Run.of(tb, result, observation=observation))
+    off, on = runs
+    report = on.result.warp
+    assert report.engaged and report.mode == "turbo" and report.events_replayed > 0
+    assert on.snapshot is not None
+    assert compare(off, on) == []
+
+
+def test_tracing_declines_and_a_probe_names_its_decline():
+    """The engine observer still declines every tier; a probe without it
+    declines only the replay and fluid, which skip the batches it reads."""
+    tb = p2p.build("vpp", frame_size=64, rate_pps=2e6, seed=1, bidirectional=True)
+    observe(tb, ObsConfig(trace=True))
+    assert turbo_drive(tb, 1e6).reason == "per-packet-tracing"
+    tb = p2p.build("vpp", frame_size=64, rate_pps=3e6, seed=1)
+    observe(tb, ObsConfig(metrics=True, profile=False))
+    for report in (try_warp(tb, 1.4e6), try_fluid(tb, 2e5, 1.4e6)):
+        assert not report.engaged and report.reason == "observed"
+
+
+def test_resilience_between_fault_warp_is_bit_identical(monkeypatch):
     """Timeline, recovery metrics and end state match event-exact runs."""
     from repro.faults.plan import FaultEvent, FaultPlan
     from repro.measure.resilience import measure_resilience
 
     def run(warp):
+        monkeypatch.setenv("REPRO_WARP", "1" if warp else "0")
         plan = FaultPlan.of(
             FaultEvent.from_dict(
                 {"kind": "nic-link-flap", "target": "sut-nic.p1",
@@ -308,7 +356,7 @@ def test_resilience_between_fault_warp_is_bit_identical():
         )
         return measure_resilience(
             p2p.build, "vpp", 64, plan,
-            warmup_ns=6e5, measure_ns=5e6, rate_pps=1e6, warp=warp,
+            warmup_ns=6e5, measure_ns=5e6, rate_pps=1e6,
         )
 
     res_off, rep_off, _ = run(False)
@@ -388,6 +436,7 @@ def test_every_row_is_back_on_the_heap_when_a_fault_fires(monkeypatch):
     monkeypatch.setattr(FaultInjector, "_stop", checked(FaultInjector._stop))
 
     def run(warp):
+        monkeypatch.setenv("REPRO_WARP", "1" if warp else "0")
         plan = FaultPlan.of(
             FaultEvent.from_dict(
                 {"kind": "vnf-crash", "target": "vm1",
@@ -396,7 +445,7 @@ def test_every_row_is_back_on_the_heap_when_a_fault_fires(monkeypatch):
         )
         return measure_resilience(
             loopback.build, "vpp", 64, plan, epsilon=0.3,
-            warmup_ns=2e5, measure_ns=1.6e6, rate_pps=1e6, n_vnfs=2, warp=warp,
+            warmup_ns=2e5, measure_ns=1.6e6, rate_pps=1e6, n_vnfs=2,
         )
 
     res_off, rep_off, _ = run(False)

@@ -306,7 +306,7 @@ def test_declines_on_per_packet_observation():
 
     tb = p2p.build("vpp", frame_size=64)
     observe(tb, ObsConfig(profile=True))
-    assert _reason(tb) == "per-packet-tracing"
+    assert _reason(tb) == "observed"
 
 
 def test_declines_on_latency_probes():

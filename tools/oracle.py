@@ -87,8 +87,10 @@ from repro.traffic.guest import GuestMonitor
 SWITCHES = ("bess", "fastclick", "ovs-dpdk", "vpp", "t4p4s", "snabb", "vale")
 
 #: Switches whose own core the turbo never profiles, with the reason it
-#: declines where no other core is chain-eligible (every shape but
-#: loopback and the v2v latency probes, whose guest cores are).
+#: declines where no other core is chain-eligible: every shape but
+#: loopback, the v2v latency probes and VALE's bidirectional p2v and v2v,
+#: whose guest cores are (VNFs, the probe's bounce, the in-VM VALE bridge
+#: that pkt-gen's TX and RX share).
 UNPROFILED = {"snabb": "pipeline-switch", "vale": "interrupt-driven"}
 
 #: A random draw's window, and the warm-up that opens it after the
@@ -318,19 +320,21 @@ def expected_tier(spec: RunSpec, encoding: Encoding = TIERS) -> str | None:
         return "declined:per-packet-tracing"
     if population is not None:
         return "declined:flow-churn" if churn else "declined:multi-flow-traffic"
-    if obs is not None and obs.flowstats:
-        return "declined:flow-telemetry"
-    if obs is not None and obs.enabled:
-        return "declined:per-packet-tracing"
     verify_ns = max(MIN_VERIFY_NS, 2.5 * params_for(spec.switch).jitter_period_ns)
     if (
         spec.scenario == "p2p" and spec.kind != "latency" and not spec.bidirectional
         and spec.switch not in UNPROFILED and not spec.faults
         and "probe_interval_ns" not in extra and not encoding.per_packet
         and spec.warmup_ns + spec.measure_ns >= 2.0 * verify_ns
+        # The replay never calls the probes; the turbo dispatches every
+        # event they read.
+        and not (obs is not None and obs.enabled)
     ):
         return "replay"
-    if spec.switch in UNPROFILED and spec.scenario != "loopback" and spec.kind != "latency":
+    if spec.switch in UNPROFILED and not (
+        spec.scenario == "loopback" or spec.kind == "latency"
+        or (spec.switch == "vale" and spec.bidirectional and spec.scenario in ("p2v", "v2v"))
+    ):
         return f"declined:{UNPROFILED[spec.switch]}"
     return "turbo"
 
