@@ -339,6 +339,10 @@ def _flag_error(args, leftover: list[str], commands: dict) -> tuple[int, str] | 
             counts = _flow_counts(args)
         except ValueError:
             return 1, f"bad --flows {args.flows!r}: expected counts like 1,1k,100k,1m"
+        if min(counts) < 1:
+            return 1, f"bad --flows {args.flows!r}: every flow count must be at least 1"
+        if not 0 <= args.churn < float("inf"):
+            return 1, f"bad --churn {args.churn!r}: expected a finite rate >= 0 flows/s"
         if len(counts) > 1 and args.command != "campaign":
             return 1, "--flows with a comma list sweeps a campaign axis; pick one count here"
         if args.size_mix is not None:

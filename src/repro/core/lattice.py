@@ -11,12 +11,13 @@ makes each step depend on the parity of ``t / u``.  So ``n`` additions of
 polls of a grid below a bound can be counted by division on those
 integer positions.
 
-A :class:`Lattice` caches ``(d, lo, hi, step)`` for one call site.  The
-site tests ``d == lat.d and lat.lo <= t`` and its sum or bound against
-``lat.hi`` inline, so the common case makes no Python call; otherwise it
-calls :meth:`Lattice.add` or :meth:`Lattice.polls`, which refit the cache
-and run the literal loop where the kernel declines: on a tie, on a zero
-or subnormal ``t``, and at the binade top.
+A :class:`Lattice` caches ``(d, lo, hi, step)`` (and :func:`grid`'s
+``(u, M)``) for one call site.  The site tests
+``d == lat.d and lat.lo <= t`` and its sum or bound against ``lat.hi``
+inline, so the common case makes no Python call; otherwise it calls
+:meth:`Lattice.add` or :meth:`Lattice.polls`, which refit the cache and
+run the literal loop where the kernel declines: on a tie, on a zero or
+subnormal ``t``, and at the binade top.
 """
 
 from __future__ import annotations
@@ -59,17 +60,20 @@ class Lattice:
     """One call site's cached lattice for adding ``d``.
 
     From any ``t`` in ``[lo, hi)``, ``n`` additions of ``d`` equal
-    ``t + n*step`` while that stays below ``hi``.  A fresh or declined
+    ``t + n*step`` while that stays below ``hi``; ``(u, m)`` is
+    :func:`grid`'s answer, so ``step = m*u``.  A fresh or declined
     lattice has ``lo = inf``, which no ``t`` passes.
     """
 
-    __slots__ = ("d", "lo", "hi", "step")
+    __slots__ = ("d", "lo", "hi", "step", "u", "m")
 
     def __init__(self) -> None:
         self.d = 0.0
         self.lo = inf
         self.hi = 0.0
         self.step = 0.0
+        self.u = 0.0
+        self.m = 0
 
     def fit(self, t: float, d: float) -> bool:
         """Refit to ``t``'s binade for ``d``; False when :func:`grid` declines."""
@@ -78,7 +82,7 @@ class Lattice:
         if found is None:
             self.lo = inf
             return False
-        u, m = found
+        self.u, self.m = u, m = found
         self.lo = u * _BOTTOM
         self.hi = u * _TOP
         self.step = m * u

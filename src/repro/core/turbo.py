@@ -69,7 +69,7 @@ from math import inf, nextafter
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import SimulationError
-from repro.core.lattice import grid
+from repro.core.lattice import Lattice
 from repro.core.warp import (
     WarpReport,
     _ARRIVE_CODES,
@@ -358,7 +358,7 @@ class _LoopState:
         self.verify_ns = 0.0
 
 
-def _advance(chains, bound_t, bound_s, t_end, seq):
+def _advance(chains, bound_t, bound_s, t_end, seq, lattice=None):
     """Advance idle chains to the next event (pure computation on ``chains``).
 
     ``chains`` rows are ``[t, seq, cb, core, delay, fired, deadline, ...]``;
@@ -372,8 +372,9 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
 
     One chain counts its polls on its core's idle lattice
     (:mod:`repro.core.lattice`); several chains go through the
-    closed-form :func:`_lattice_advance`, and through the k-way
-    :func:`_merge_advance` when the lattice cannot decide.
+    closed-form :func:`_lattice_advance` on ``lattice`` (the caller's,
+    kept across calls), and through the k-way :func:`_merge_advance`
+    when the lattice cannot decide.
     """
     if len(chains) == 1:
         # Single chain (p2p/p2v/v2v spans).  After the first fire the
@@ -416,13 +417,13 @@ def _advance(chains, bound_t, bound_s, t_end, seq):
         chain[1] = seq + total - 1
         chain[5] += total
         return total, last_t, seq + total
-    result = _lattice_advance(chains, bound_t, bound_s, t_end, seq)
+    result = _lattice_advance(chains, bound_t, bound_s, t_end, seq, lattice)
     if result is not None:
         return result
     return _merge_advance(chains, bound_t, bound_s, t_end, seq)
 
 
-def _lattice_advance(chains, bound_t, bound_s, t_end, seq):
+def _lattice_advance(chains, bound_t, bound_s, t_end, seq, lattice=None):
     """Closed-form multi-chain advance, or None when it cannot decide.
 
     Same contract as :func:`_merge_advance` (``seq`` exceeds every row's
@@ -430,7 +431,9 @@ def _lattice_advance(chains, bound_t, bound_s, t_end, seq):
     are untouched.  Inside the binade of the earliest head ``t_lo`` every
     float is an integer multiple of ``u = ulp(t_lo)``, and ``t + d``
     below the binade top rounds to ``t + M*u``; ``(u, M)`` and the cases
-    that decline come from :func:`repro.core.lattice.grid`.  So chains
+    that decline come from :func:`repro.core.lattice.grid`, through
+    ``lattice``, which is refit only when the delay or the earliest
+    head's binade changes (a fresh one when None).  So chains
     sharing one delay poll at integer *positions* ``n, n+M, n+2M, ...`` with
     ``n = t/u``, exact below ``2**53``; ``t_end``, ``bound_t`` and the
     deadlines are floats at or above ``t_lo``, hence exact positions too.
@@ -464,10 +467,13 @@ def _lattice_advance(chains, bound_t, bound_s, t_end, seq):
             common = False
     if bound_t < t_lo or t_end < t_lo:
         return None
-    found = grid(t_lo, delay)
-    if found is None:
-        return None
-    u, step = found
+    if lattice is None:
+        lattice = Lattice()
+    if not (delay == lattice.d and lattice.lo <= t_lo < lattice.hi):
+        if not lattice.fit(t_lo, delay):
+            return None
+    u = lattice.u
+    step = lattice.m
     top = _LATTICE_TOP
     bound = bound_t / u
     fired = []
@@ -629,6 +635,7 @@ def turbo_drive(tb: "Testbed", t_end: float) -> WarpReport:
             return WarpReport(engaged=False, reason="interrupt-driven", mode="turbo")
     _add_lazy_benign()
     st = _LoopState()
+    lattice = Lattice()  # the multi-chain advance's (u, M), kept across spans
     trusted = dead = False
     # The table: idle chains held off the heap.  Rows are
     # ``[t, seq, cb, core, delay, fired, deadline, profile.deadline]``;
@@ -681,7 +688,7 @@ def turbo_drive(tb: "Testbed", t_end: float) -> WarpReport:
                             heappush(queue, (t, s, cb))
                         continue
                 if trusted:
-                    total, last_t, seq = _advance(rows, t, s, t_end, sim._seq)
+                    total, last_t, seq = _advance(rows, t, s, t_end, sim._seq, lattice)
                     if total:
                         sim._seq = seq
                         sim.events_executed += total
@@ -709,7 +716,7 @@ def turbo_drive(tb: "Testbed", t_end: float) -> WarpReport:
                         if (t if t < head[6] else head[6]) - head[0] >= (
                             head[4] * MIN_SPAN_POLLS
                         ):
-                            _verify(sim, queue, rows, t, s, t_end, st)
+                            _verify(sim, queue, rows, t, s, t_end, st, lattice)
                             trusted = st.verified >= VERIFY_SPANS and not st.reverify
                             dead = st.dead
                         else:
@@ -759,7 +766,7 @@ def turbo_drive(tb: "Testbed", t_end: float) -> WarpReport:
     )
 
 
-def _verify(sim, queue, rows, bound_t, bound_s, t_end, st):
+def _verify(sim, queue, rows, bound_t, bound_s, t_end, st, lattice):
     """Verification span: advance the table to the bound by real dispatch.
 
     The rows' advance is predicted on a copy; then every row goes back on
@@ -771,7 +778,9 @@ def _verify(sim, queue, rows, bound_t, bound_s, t_end, st):
     rows.clear()
     t0 = min(chains)[0]
     predicted = [list(chain) for chain in chains]
-    p_total, p_last_t, p_seq = _advance(predicted, bound_t, bound_s, t_end, sim._seq)
+    p_total, p_last_t, p_seq = _advance(
+        predicted, bound_t, bound_s, t_end, sim._seq, lattice
+    )
     before = [
         (chain[3].busy_ns, chain[3]._idle_streak) for chain in chains
     ]

@@ -13,11 +13,15 @@ Design notes
   returns ``None`` for it so every pre-existing code path (block fast
   path, warp, golden stats) is taken verbatim.
 
-* **Sampling is vectorised and cache-friendly.**  Zipf draws go through a
-  precomputed CDF + ``searchsorted`` instead of ``rng.choice(p=...)``,
-  which rebuilds the distribution per call -- the difference between
-  milliseconds and minutes at a million flows.  The CDF is built once
-  per process per (flows, alpha) (:func:`repro.traffic.profiles.zipf_cdf`),
+* **Sampling is vectorised, per chunk.**  A traffic source draws a
+  chunk of bursts at once (:class:`repro.traffic.generator.PacedSource`)
+  and both of its emission modes read that one chunk.  Zipf ranks come
+  from a precomputed CDF (:func:`repro.traffic.profiles.zipf_cdf`)
+  instead of ``rng.choice(p=...)``, which rebuilds the distribution per
+  call -- the difference between milliseconds and minutes at a million
+  flows -- and an exact guide table in front of its ``searchsorted``
+  (:func:`repro.traffic.profiles.zipf_ranks`) answers most draws without
+  a search.  Both tables are built once per process per (flows, alpha),
   not once per testbed or trial replica.
 
 * **Churn is deterministic.**  Rather than spending RNG state on
@@ -25,7 +29,9 @@ Design notes
   identity), churn slides the active flow window by
   ``int(now_ns * churn_fps * 1e-9)``: ``churn_fps`` flows retire and
   ``churn_fps`` fresh flows appear per simulated second, as a pure
-  function of simulated time.
+  function of simulated time.  :meth:`FlowPopulation.sample_flows`
+  draws churn-free ranks and :meth:`FlowPopulation.churn_shift` is the
+  slide at a given time, so a chunk drawn ahead applies each burst's own.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.traffic.profiles import PROFILES, SizeProfile, zipf_cdf
+from repro.traffic.profiles import PROFILES, SizeProfile, zipf_ranks
 
 #: Flow-rate distributions a population can use.
 FLOW_DISTS = ("uniform", "zipf")
@@ -70,8 +76,8 @@ class FlowPopulation:
             raise ValueError(f"dist must be one of {FLOW_DISTS}, got {self.dist!r}")
         if self.zipf_alpha <= 0:
             raise ValueError("zipf_alpha must be > 0")
-        if self.churn_fps < 0:
-            raise ValueError("churn_fps must be >= 0")
+        if not 0 <= self.churn_fps < float("inf"):
+            raise ValueError("churn_fps must be finite and >= 0")
         if self.churn_offset_ns < 0:
             raise ValueError("churn_offset_ns must be >= 0")
         if self.size_mix is not None and self.size_mix not in PROFILES:
@@ -88,32 +94,30 @@ class FlowPopulation:
     def size_profile(self) -> SizeProfile | None:
         return PROFILES[self.size_mix] if self.size_mix else None
 
-    def _cdf(self) -> np.ndarray | None:
-        """Cumulative rank-popularity distribution (Zipf only), shared."""
-        if self.dist != "zipf" or self.flows == 1:
-            return None
-        return zipf_cdf(self.flows, self.zipf_alpha)
+    def sample_flows(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw ``count`` popularity ranks (int64), before the churn shift.
 
-    def sample_flows(
-        self, rng: np.random.Generator, count: int, now_ns: float = 0.0
-    ) -> np.ndarray:
-        """Draw ``count`` absolute flow ranks active at ``now_ns``.
+        A one-flow population draws nothing.  One call of ``count``
+        makes the draws of any split of ``count`` into successive calls,
+        bit generator state included (``tests/unit/test_draw_premises.py``).
+        """
+        if self.flows == 1:
+            return np.zeros(count, dtype=np.int64)
+        if self.dist == "zipf":
+            return zipf_ranks(rng.random(count), self.flows, self.zipf_alpha)
+        return rng.integers(0, self.flows, size=count)
+
+    def churn_shift(self, now_ns: float) -> int:
+        """Flows retired by ``now_ns``: rank ``r`` is then flow ``r + shift``.
 
         Churn shifts the active window deterministically: the same
         popularity rank maps to a fresh flow id once its predecessor
-        has retired.
+        has retired.  ``churn_offset_ns == 0.0`` adds exactly nothing
+        (float identity), keeping base runs bit-identical.
         """
-        if self.flows == 1:
-            ranks = np.zeros(count, dtype=np.int64)
-        elif self.dist == "zipf":
-            ranks = self._cdf().searchsorted(rng.random(count)).astype(np.int64, copy=False)
-        else:
-            ranks = rng.integers(0, self.flows, size=count)
-        if self.churn_fps:
-            # churn_offset_ns == 0.0 adds exactly nothing (float identity),
-            # keeping base runs bit-identical.
-            ranks = ranks + int((now_ns + self.churn_offset_ns) * self.churn_fps * 1e-9)
-        return ranks
+        if not self.churn_fps:
+            return 0
+        return int((now_ns + self.churn_offset_ns) * self.churn_fps * 1e-9)
 
 
 def resolve_flow_population(

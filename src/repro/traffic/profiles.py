@@ -10,7 +10,8 @@ the profiles needed to go beyond the fixed-size workload:
 * a data-centre-like bimodal mix matching the cited 850 B average;
 * uniform and custom mixes;
 
-plus the Zipf rank CDF that :mod:`repro.flows` samples flow ids from.
+plus the Zipf rank CDF that :mod:`repro.flows` samples flow ids from,
+and the guide table that answers most of its lookups without a search.
 """
 
 from __future__ import annotations
@@ -102,3 +103,41 @@ def zipf_cdf(flows: int, alpha: float) -> np.ndarray:
     cdf[-1] = 1.0  # guard searchsorted against rounding
     cdf.flags.writeable = False
     return cdf
+
+
+#: log2 of the Zipf guide table's length.  A power of two makes
+#: ``u * 2**ZIPF_GUIDE_BITS`` exact, so a draw's bucket index is exact.
+ZIPF_GUIDE_BITS = 16
+
+
+@lru_cache(maxsize=4)
+def zipf_guide(flows: int, alpha: float) -> np.ndarray:
+    """Guide table in front of :func:`zipf_cdf`'s ``searchsorted``.
+
+    With ``m = 2**ZIPF_GUIDE_BITS``, entry ``j`` is the rank of every
+    draw in ``[j/m, (j+1)/m)`` when the bucket's two edges search to the
+    same rank, and -1 where the bucket spans ranks.  Memoised and
+    read-only like the CDF (int32, 256 KB each).
+    """
+    m = 1 << ZIPF_GUIDE_BITS
+    edges = zipf_cdf(flows, alpha).searchsorted(np.arange(m + 1) / m)
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1).astype(np.int32)
+    guide.flags.writeable = False
+    return guide
+
+
+def zipf_ranks(draws: np.ndarray, flows: int, alpha: float) -> np.ndarray:
+    """``zipf_cdf(flows, alpha).searchsorted(draws)``, exactly, as int64.
+
+    A draw ``u`` in ``[j/m, (j+1)/m)`` searches to a rank between the
+    searches of the bucket's edges, so a bucket whose edges agree needs
+    no search; only draws in the other buckets binary-search the CDF,
+    in ascending order so that successive searches share cache lines.
+    """
+    ranks = zipf_guide(flows, alpha)[(draws * (1 << ZIPF_GUIDE_BITS)).astype(np.intp)]
+    ranks = ranks.astype(np.int64)
+    misses = np.flatnonzero(ranks < 0)
+    keys = draws[misses]
+    order = keys.argsort()
+    ranks[misses[order]] = zipf_cdf(flows, alpha).searchsorted(keys[order])
+    return ranks

@@ -10,9 +10,11 @@ the differential oracle's (``tools/oracle.py``).
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import nullcontext
 
 import numpy as np
+import pytest
 from _helpers import FAST_MEASURE_NS, FAST_WARMUP_NS
 from golden_stats import _run_stats
 from hypothesis import example, given, seed, settings
@@ -132,3 +134,60 @@ class TestMultiFlowEmissionIdentity:
         frames, frame_state = _emitted_frames(*args, per_packet=True)
         assert blocks == frames
         assert block_state == frame_state
+
+
+def _frame_digest(population, rate_pps, flow_id, probe_interval, per_packet, frames=2_048):
+    """SHA-256 prefix of a source's first ``frames`` frames
+    ``(size, flow_id, src_mac, is_probe)``."""
+    sim = Simulator()
+    src = _Recorder(
+        sim, rate_pps=rate_pps, frame_size=64, flow_id=flow_id,
+        probe_interval_ns=probe_interval, flow_population=population,
+        rng=np.random.default_rng(2026),
+    )
+    with per_packet_emission() if per_packet else nullcontext():
+        src.start(0.0)
+        sim.run_until(frames * 1e9 / rate_pps)
+    rows = []
+    for item in src.emitted:
+        packets = item.materialize() if item.__class__ is PacketBlock else (item,)
+        rows.extend(f"{p.size},{p.flow_id},{p.src_mac},{int(p.is_probe)}" for p in packets)
+    assert len(rows) >= frames
+    return hashlib.sha256(";".join(rows[:frames]).encode()).hexdigest()[:16]
+
+
+#: Sources whose draw shapes the golden corpus's multi-flow cells
+#: (Zipf, Zipf + IMIX, uniform + churn) do not cover, with the digest of
+#: their first 2,048 frames.  Burst lengths other than 32 (rate x 4 us)
+#: put a draw-chunk edge inside the digested frames.
+_PINNED_SHAPES = {
+    "uniform+imix": (
+        FlowPopulation(flows=1_000, dist="uniform", size_mix="imix"), 6e6, 0, None,
+    ),
+    "size-mix-alone": (FlowPopulation(flows=1, size_mix="datacenter"), 7e6, 0, None),
+    "churn-alone": (FlowPopulation(flows=1, churn_fps=1e7), 14.88e6, 0, 20_000.0),
+    "uniform": (FlowPopulation(flows=50_000, dist="uniform"), 3e6, 0, None),
+    "zipf+probes+churn+flow-id": (
+        FlowPopulation(flows=10_000, dist="zipf", churn_fps=1e7), 5e6, 1_000, 20_000.0,
+    ),
+    "4-frame-burst": (FlowPopulation(flows=1_000, dist="zipf"), 1e6, 0, 10_000.0),
+}
+
+_PINNED_DIGESTS = {
+    "4-frame-burst": "5dfd9c61c0de4646",
+    "churn-alone": "10e6e2d3b78f8ba6",
+    "size-mix-alone": "f23c6d074e144b40",
+    "uniform": "12b248cb5a7d8c3f",
+    "uniform+imix": "891feb9538d419c1",
+    "zipf+probes+churn+flow-id": "f736c50388557889",
+}
+
+
+class TestFramesPinnedAcrossCommits:
+    @pytest.mark.parametrize("per_packet", (False, True), ids=("blocks", "per-packet"))
+    @pytest.mark.parametrize("shape", sorted(_PINNED_SHAPES))
+    def test_first_frames_match_the_pinned_digest(self, shape, per_packet):
+        """Both emission modes emit the frames pinned for each draw shape."""
+        assert _frame_digest(*_PINNED_SHAPES[shape], per_packet=per_packet) == (
+            _PINNED_DIGESTS[shape]
+        )

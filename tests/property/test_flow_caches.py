@@ -246,8 +246,8 @@ class TestDeterministicEviction:
         def run_once():
             sw = OvsDpdk(Simulator(), emc_entries=32)
             rng = np.random.default_rng(seed)
-            for burst in range(20):
-                for flow in pop.sample_flows(rng, 32, now_ns=burst * 1e3):
+            for _ in range(20):
+                for flow in pop.sample_flows(rng, 32):
                     sw._classify_run(int(flow), 1, None)
             return sw.cache_stats()
 

@@ -256,6 +256,22 @@ def test_flags_the_other_flags_make_moot_are_rejected(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["p2p", "--switch", "vpp", "--flows", "0"], "bad --flows '0'"),
+    (["p2p", "--switch", "vpp", "--flows", "-5"], "bad --flows '-5'"),
+    (["campaign", "--switches", "vpp", "--flows", "1k,0", "--no-cache"], "bad --flows '1k,0'"),
+    (["p2p", "--switch", "vpp", "--flows", "10", "--churn", "-5"], "bad --churn -5.0"),
+    (["p2p", "--switch", "vpp", "--flows", "10", "--churn", "inf"], "bad --churn inf"),
+])
+def test_out_of_range_flow_axis_values_are_refused(argv, message, capsys):
+    """Refused up front with one line, before any run starts."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [captured.err.strip()]
+    assert message in captured.err
+
+
 def test_unknown_token_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["p2p", "--not-a-flag"])

@@ -15,6 +15,7 @@ from repro.flows import (
     resolve_flow_population,
 )
 from repro.flows.population import DEFAULT_ZIPF_ALPHA, FLOW_DISTS
+from repro.traffic.profiles import zipf_cdf, zipf_guide
 
 
 def _rng(seed=1):
@@ -37,6 +38,8 @@ class TestFlowPopulationValidation:
             {"zipf_alpha": 0.0},
             {"zipf_alpha": -1.0},
             {"churn_fps": -1.0},
+            {"churn_fps": float("nan")},
+            {"churn_fps": float("inf")},
             {"size_mix": "no-such-mix"},
         ],
     )
@@ -96,31 +99,44 @@ class TestSampling:
 
     def test_churn_slides_the_active_window(self):
         pop = FlowPopulation(flows=100, dist="uniform", churn_fps=1e6)
-        early = pop.sample_flows(_rng(7), 256, now_ns=0.0)
-        late = pop.sample_flows(_rng(7), 256, now_ns=3e6)
+        early = pop.sample_flows(_rng(7), 256) + pop.churn_shift(0.0)
+        late = pop.sample_flows(_rng(7), 256) + pop.churn_shift(3e6)
         # 1e6 flows/s * 3 ms = 3000 fresh flows: same draws, shifted ids.
         assert (late - early == 3000).all()
 
     def test_churn_is_a_pure_function_of_time(self):
         pop = FlowPopulation(flows=100, churn_fps=500.0)
-        a = pop.sample_flows(_rng(3), 128, now_ns=4e6)
-        b = pop.sample_flows(_rng(3), 128, now_ns=4e6)
+        a = pop.sample_flows(_rng(3), 128) + pop.churn_shift(4e6)
+        b = pop.sample_flows(_rng(3), 128) + pop.churn_shift(4e6)
         assert (a == b).all()
+        assert pop.churn_shift(4e6) == 2
+        assert FlowPopulation(flows=100).churn_shift(4e6) == 0
 
     def test_zipf_cdf_cached_and_well_formed(self):
         pop = FlowPopulation(flows=1000, dist="zipf")
-        cdf = pop._cdf()
-        assert cdf is pop._cdf()  # cached, not rebuilt
+        pop.sample_flows(_rng(), 64)
+        before = zipf_cdf.cache_info().misses, zipf_guide.cache_info().misses
+        pop.sample_flows(_rng(), 64)
+        # cached, not rebuilt
+        assert (zipf_cdf.cache_info().misses, zipf_guide.cache_info().misses) == before
+        cdf = zipf_cdf(pop.flows, pop.zipf_alpha)
         assert cdf[-1] == 1.0
         assert (np.diff(cdf) >= 0).all()
-        assert FlowPopulation(flows=1000)._cdf() is None  # uniform: no CDF
+        # uniform: no CDF
+        calls = zipf_cdf.cache_info().hits + zipf_cdf.cache_info().misses
+        FlowPopulation(flows=1000).sample_flows(_rng(), 64)
+        assert zipf_cdf.cache_info().hits + zipf_cdf.cache_info().misses == calls
 
     def test_zipf_cdf_shared_across_populations(self):
         """Trial replicas and rebuilt testbeds reuse one read-only CDF."""
         pop = FlowPopulation(flows=1000, dist="zipf")
         replica = FlowPopulation(flows=1000, dist="zipf", churn_fps=5.0, churn_offset_ns=1e6)
-        assert pop._cdf() is replica._cdf()
-        assert not pop._cdf().flags.writeable
+        pop.sample_flows(_rng(), 64)
+        before = zipf_cdf.cache_info().misses, zipf_guide.cache_info().misses
+        replica.sample_flows(_rng(), 64)
+        assert (zipf_cdf.cache_info().misses, zipf_guide.cache_info().misses) == before
+        assert not zipf_cdf(1000, pop.zipf_alpha).flags.writeable
+        assert not zipf_guide(1000, pop.zipf_alpha).flags.writeable
 
     def test_zipf_draws_pinned(self):
         pop = FlowPopulation(flows=1000, dist="zipf")

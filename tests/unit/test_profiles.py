@@ -10,9 +10,12 @@ from repro.traffic.profiles import (
     DATACENTER,
     IMIX,
     PROFILES,
+    ZIPF_GUIDE_BITS,
     SizeProfile,
     fixed,
     zipf_cdf,
+    zipf_guide,
+    zipf_ranks,
 )
 
 
@@ -104,3 +107,31 @@ class TestGeneratorIntegration:
         sizes = {p.size for p in src.emitted}
         assert sizes <= set(IMIX.sizes)
         assert len(sizes) > 1
+
+
+class TestZipfGuide:
+    """``zipf_ranks`` is ``zipf_cdf(...).searchsorted`` wherever it looks."""
+
+    @pytest.mark.parametrize("flows", (2, 1_000, 10_000, 100_000, 1_000_000))
+    def test_matches_searchsorted(self, flows):
+        cdf = zipf_cdf(flows, 1.1)
+        m = 1 << ZIPF_GUIDE_BITS
+        edges = np.arange(m) / m
+        draws = np.concatenate((
+            np.random.default_rng(flows).random(100_000),
+            edges,  # every bucket edge...
+            np.nextafter(edges[1:], 0.0),  # ...and its lower neighbour
+            cdf[:5_000][cdf[:5_000] < 1.0],  # the head's CDF values...
+            np.nextafter(cdf[:5_000], 0.0),  # ...and their float neighbours
+            np.nextafter(cdf[:5_000], 1.0)[np.nextafter(cdf[:5_000], 1.0) < 1.0],
+        ))
+        ranks = zipf_ranks(draws, flows, 1.1)
+        assert ranks.dtype == np.int64
+        assert (ranks == cdf.searchsorted(draws)).all()
+
+    def test_read_only_and_bounded(self):
+        guide = zipf_guide(1000, 1.1)
+        assert guide is zipf_guide(1000, 1.1)
+        assert guide.shape == (1 << ZIPF_GUIDE_BITS,)
+        assert not guide.flags.writeable
+        assert zipf_guide.cache_info().maxsize == 4
